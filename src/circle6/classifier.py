@@ -8,13 +8,16 @@ data, find every (case, parameters) pair that reproduces it, up to
 permutation of points, permutation of weights within a point, and global
 reversal of the action.
 
-Matching is exhaustive rather than deductive: for each case we enumerate
-assignments of data points to the four family slots and of weights to the
-three slot entries, and solve the resulting linear system for the
-parameters over exact rationals, accepting integral solutions that satisfy
-the case's positivity/distinctness constraints. Inconsistent branches are
-pruned as soon as the partial system becomes unsolvable, which keeps the
-nominal 4! * (3!)^4 search tree small in practice.
+Matching is candidate-and-compare. Every template is affine in its
+parameters, and one or two "pinning" slots already fix all of them: slot 0
+for cases A, B, E and F, slot 1 for case C, slots 0 and 2 for case D. The
+matcher derives these slots, an exact integer inverse for the pinned
+entries, and the signs the templates force on them, from the templates at
+import time. For each case it then tries only the (point, weight order)
+choices for the pinning slots that those signs allow, solves for the
+parameters, and keeps the integral ones that satisfy the case's
+constraints and whose regenerated family equals the data as a multiset of
+weight multisets.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import permutations
-from math import gcd
+from itertools import chain, permutations, product
+from math import lcm
+from operator import mul, sub
 from typing import Callable, Mapping
 
 from .core import FixedPointData, HomologyProfile, dataset, validate
@@ -105,6 +109,10 @@ _CONSTRAINTS: Mapping[CaseTag, Callable[[tuple[int, ...]], bool]] = {
     CaseTag.F_BlC_S6: _all_positive,
 }
 
+# The cases whose constraint includes parameters >= 1; the matcher's sign
+# prefilter rests on it.
+_POSITIVE_PARAMS = frozenset(CaseTag) - {CaseTag.C_Fano}
+
 # Number of all-positive weight vectors each family forces (its Todd genus):
 # one for the cases with Td = 1, none for the cases with Td = 0. Used to
 # prune whole cases before any linear algebra.
@@ -112,40 +120,6 @@ _EXPECTED_N0: Mapping[CaseTag, int] = {
     CaseTag.A_CP3: 1, CaseTag.B_Q3: 1, CaseTag.C_Fano: 1,
     CaseTag.D_S6_union: 0, CaseTag.E_BlP_S6: 0, CaseTag.F_BlC_S6: 0,
 }
-
-
-def _pin_positive(coeff: int, rhs: int) -> bool:
-    # coeff * x = rhs with coeff > 0: solvable by an integer x >= 1?
-    return rhs % coeff == 0 and rhs >= coeff
-
-
-def _pin_integer(coeff: int, rhs: int) -> bool:
-    return rhs % coeff == 0
-
-
-# Mid-search prune for parameters the solver has already pinned: every case
-# needs integral parameters, and all but case C need positive ones.
-_PIN_OK: Mapping[CaseTag, Callable[[int, int], bool]] = {
-    tag: (_pin_integer if tag is CaseTag.C_Fano else _pin_positive)
-    for tag in CaseTag
-}
-
-
-def _derive_forms(fn: Callable[..., tuple], k: int):
-    """Affine forms (coeffs, const) of every template entry, by probing."""
-    zero = fn(*([0] * k))
-    units = [fn(*(1 if j == i else 0 for j in range(k))) for i in range(k)]
-    forms = []
-    for s in range(4):
-        slot = []
-        for e in range(3):
-            const = zero[s][e]
-            slot.append((tuple(units[i][s][e] - const for i in range(k)), const))
-        forms.append(tuple(slot))
-    return tuple(forms)
-
-
-_FORMS = {tag: _derive_forms(fn, len(names)) for tag, (names, fn) in _FAMILIES.items()}
 
 
 def param_names(tag: CaseTag | str) -> tuple[str, ...]:
@@ -177,130 +151,152 @@ def gen_family(case: JangCase) -> FixedPointData:
 # inverse problem
 # ---------------------------------------------------------------------------
 
-class _IncrementalSolver:
-    """Exact integer-row Gaussian elimination with O(1) backtracking.
+def _affine_forms(fn: Callable[..., tuple], k: int):
+    """Affine forms (coeffs, const) of every template entry, by probing.
 
-    Equations coeffs . x = rhs are pushed one at a time; push() reports an
-    immediate contradiction, which is what makes the assignment search
-    prune. Rows are kept as gcd-reduced integer vectors so no Fractions
-    appear until the final back-substitution.
+    Sound because every template is affine in its parameters.
     """
+    zero = fn(*([0] * k))
+    units = [fn(*(1 if j == i else 0 for j in range(k))) for i in range(k)]
+    return tuple(
+        tuple((tuple(units[i][s][e] - zero[s][e] for i in range(k)), zero[s][e])
+              for e in range(3))
+        for s in range(4))
 
-    __slots__ = ("_k", "_pivots")
 
-    def __init__(self, k: int):
-        self._k = k
-        self._pivots: list[tuple[int, list[int]]] = []
+def _greedy_inverse(vectors, k: int):
+    """Pick vectors in order while they raise the rank, until k are picked,
+    and invert the square matrix they form by Gauss-Jordan elimination.
 
-    def mark(self) -> int:
-        return len(self._pivots)
+    Returns (picked indices, N, den) with N / den that inverse.
+    """
+    rows: dict[int, list[Fraction]] = {}    # pivot column -> [e_pivot | combination]
+    picked: list[int] = []
+    for idx, vec in enumerate(vectors):
+        if len(picked) == k:
+            break
+        row = [Fraction(x) for x in vec] + [Fraction(int(j == len(picked))) for j in range(k)]
+        for col, prow in rows.items():
+            f = row[col]
+            row = [x - f * y for x, y in zip(row, prow)]
+        col = next((i for i in range(k) if row[i]), -1)
+        if col < 0:
+            continue
+        row = [x / row[col] for x in row]
+        for c, prow in rows.items():
+            f = prow[col]
+            rows[c] = [x - f * y for x, y in zip(prow, row)]
+        rows[col] = row
+        picked.append(idx)
+    den = lcm(*(x.denominator for row in rows.values() for x in row[k:]))
+    return picked, tuple(tuple(int(x * den) for x in rows[c][k:]) for c in range(k)), den
 
-    def rollback(self, mark: int) -> None:
-        del self._pivots[mark:]
 
-    def push(self, coeffs, rhs: int) -> bool:
-        row = list(coeffs)
-        row.append(rhs)
-        for col, prow in self._pivots:
-            rc = row[col]
-            if rc:
-                pc = prow[col]
-                row = [x * pc - y * rc for x, y in zip(row, prow)]
-        piv = -1
-        for i in range(self._k):
-            if row[i]:
-                piv = i
+def _forced_sign(coeffs: tuple[int, ...], const: int, positive: bool) -> int:
+    """+1 or -1 when an entry has that sign for every admissible parameter
+    vector, else 0. With parameters >= 1 that holds when the coefficients
+    and the constant share a sign; with free integers only for constants."""
+    if not positive and any(coeffs):
+        return 0
+    terms = (*coeffs, const)
+    if any(terms):
+        if all(t >= 0 for t in terms):
+            return 1
+        if all(t <= 0 for t in terms):
+            return -1
+    return 0
+
+
+@dataclass(frozen=True)
+class _Pin:
+    """A pinning slot: its index, the entries that enter the solve, the
+    sign each of its three entries is forced to have (0: free), and its
+    weight sum when that does not depend on the parameters."""
+
+    slot: int
+    entries: tuple[int, ...]
+    signs: tuple[int, int, int]
+    total: int | None
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """How to recover a case's parameters: params = inverse . (values -
+    consts) / den, values being the pinned entries in pin order."""
+
+    pins: tuple[_Pin, ...]
+    consts: tuple[int, ...]
+    inverse: tuple[tuple[int, ...], ...]
+    den: int
+
+
+def _plan(tag: CaseTag) -> _Plan:
+    """Pin slots in order while their entry forms raise the rank."""
+    names, fn = _FAMILIES[tag]
+    k = len(names)
+    positive = tag in _POSITIVE_PARAMS
+    forms = _affine_forms(fn, k)
+    entries = [(s, e) for s in range(4) for e in range(3)]
+    picked, inverse, den = _greedy_inverse([forms[s][e][0] for s, e in entries], k)
+    solved = [entries[i] for i in picked]
+    pins = []
+    for s in sorted({s for s, _ in solved}):
+        coeff_sum = [sum(col) for col in zip(*(c for c, _ in forms[s]))]
+        pins.append(_Pin(
+            s, tuple(e for t, e in solved if t == s),
+            tuple(_forced_sign(c, const, positive) for c, const in forms[s]),
+            None if any(coeff_sum) else sum(const for _, const in forms[s])))
+    return _Plan(tuple(pins), tuple(forms[s][e][1] for s, e in solved), inverse, den)
+
+
+_PLANS = {tag: _plan(tag) for tag in CaseTag}
+
+
+def _orders_by_sign(pts: tuple[tuple[int, ...], ...]):
+    """Every weight order of every point, with the point's weight sum,
+    keyed by the order's sign vector (True for a positive weight)."""
+    table: dict[tuple[bool, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    for ws in pts:
+        total = sum(ws)
+        signs = tuple(w > 0 for w in ws)
+        for order, key in zip(permutations(ws), permutations(signs)):
+            table.setdefault(key, []).append((total, order))
+    return table
+
+
+def _candidates(plan: _Plan, orders: dict):
+    """The integral parameter vectors the pinning slots admit.
+
+    Any point in any weight order may fill a pinning slot unless a forced
+    sign or weight sum rules it out; the caller regenerates each candidate
+    and compares it with the data.
+    """
+    per_pin = []
+    for pin in plan.pins:
+        allowed = product(*((s > 0,) if s else (True, False) for s in pin.signs))
+        values = {tuple(order[e] for e in pin.entries)
+                  for signs in allowed for total, order in orders.get(signs, ())
+                  if pin.total is None or total == pin.total}
+        if not values:
+            return set()
+        per_pin.append(values)
+    found = set()
+    for combo in product(*per_pin):
+        rhs = list(map(sub, chain.from_iterable(combo), plan.consts))
+        params = []
+        for row in plan.inverse:
+            num = sum(map(mul, row, rhs))
+            if num % plan.den:
                 break
-        if piv < 0:
-            return row[self._k] == 0
-        if row[piv] < 0:
-            row = [-x for x in row]
-        g = 0
-        for x in row:
-            g = gcd(g, x)
-        if g > 1:
-            row = [x // g for x in row]
-        self._pivots.append((piv, row))
-        return True
-
-    def solution(self) -> list[Fraction] | None:
-        if len(self._pivots) < self._k:
-            return None
-        xs: list[Fraction] = [Fraction(0)] * self._k
-        for col, row in sorted(self._pivots, key=lambda cr: -cr[0]):
-            acc = Fraction(row[self._k])
-            for m in range(col + 1, self._k):
-                if row[m]:
-                    acc -= row[m] * xs[m]
-            xs[col] = acc / row[col]
-        return xs
+            params.append(num // plan.den)
+        else:
+            found.add(tuple(params))
+    return found
 
 
-def _distinct_orders(ws: tuple[int, ...]):
-    return sorted(set(permutations(ws)))
-
-
-def _search(tag: CaseTag, pts: tuple[tuple[int, ...], ...],
-            orders: list[list[tuple[int, ...]]],
-            group: list[int]):
-    """All (params, slot->point) pairs reproducing pts for the given case.
-
-    Points with equal weight multisets are interchangeable in any
-    assignment, so the search places only the first unused member of each
-    group and leaves the bookkeeping of which twin went where to the
-    caller. A complete consistent system forces template(params) == data
-    entry by entry, so no re-generation check is needed at the leaves.
-    """
-    forms = _FORMS[tag]
-    constraint = _CONSTRAINTS[tag]
-    pin_ok = _PIN_OK[tag]
-    k = len(_FAMILIES[tag][0])
-    solver = _IncrementalSolver(k)
-    pivots = solver._pivots
-    assignment = [-1] * 4
-    used = [False] * 4
-    results: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-    def place(slot: int) -> None:
-        if slot == 4:
-            sol = solver.solution()
-            if sol is None or any(v.denominator != 1 for v in sol):
-                return
-            params = tuple(int(v) for v in sol)
-            if constraint(params):
-                results.append((params, tuple(assignment)))
-            return
-        for pi in range(4):
-            if used[pi]:
-                continue
-            if any(group[pj] == group[pi] and not used[pj] for pj in range(pi)):
-                continue  # an identical twin already stands for this branch
-            for ordering in orders[pi]:
-                mk = solver.mark()
-                ok = True
-                for (coeffs, const), value in zip(forms[slot], ordering):
-                    if not solver.push(coeffs, value - const):
-                        ok = False
-                        break
-                if ok:
-                    # prune on parameters this slot has pinned outright:
-                    # a singleton row coeff * x_j = rhs admits no integral
-                    # (resp. positive) solution exactly when the whole
-                    # branch admits none
-                    for col, row in pivots[mk:]:
-                        if not any(row[i] for i in range(k) if i != col):
-                            if not pin_ok(row[col], row[k]):
-                                ok = False
-                                break
-                if ok:
-                    used[pi] = True
-                    assignment[slot] = pi
-                    place(slot + 1)
-                    used[pi] = False
-                solver.rollback(mk)
-
-    place(0)
-    return results
+def _canonical(rows) -> list[list[int]]:
+    """The data up to point order and weight order: sorted sorted rows."""
+    return sorted(map(sorted, rows))
 
 
 @dataclass(frozen=True)
@@ -354,34 +350,38 @@ def classify(data: FixedPointData) -> ClassificationResult:
                               f"got {len(data.points)}")
     names = data.names()
     rows = data.weight_rows()
-    multisets = [tuple(sorted(ws)) for ws in rows]
-    group_keys = sorted(set(multisets))
-    group = [group_keys.index(m) for m in multisets]
-    names_by_group = {g: sorted(names[i] for i in range(4) if group[i] == g)
-                      for g in set(group)}
+    names_by_multiset: dict[tuple[int, ...], list[str]] = {}
+    for name, ws in sorted(zip(names, rows)):
+        names_by_multiset.setdefault(tuple(sorted(ws)), []).append(name)
     found: dict[tuple[CaseTag, tuple[int, ...], bool], tuple[str, ...]] = {}
     for rev in (False, True):
         pts = rows if not rev else tuple(tuple(-w for w in ws) for ws in rows)
+        target = _canonical(pts)
         n0 = sum(1 for ws in pts if all(w > 0 for w in ws))
-        orders = [_distinct_orders(ws) for ws in pts]
-        for tag in CaseTag:
-            if n0 != _EXPECTED_N0[tag]:
-                continue
-            for params, assign in _search(tag, pts, orders, group):
-                key = (tag, params, rev)
-                if key in found:
+        tags = [tag for tag in CaseTag if _EXPECTED_N0[tag] == n0]
+        if not tags:
+            continue
+        orders = _orders_by_sign(pts)
+        for tag in tags:
+            fn = _FAMILIES[tag][1]
+            admissible = _CONSTRAINTS[tag]
+            for params in _candidates(_PLANS[tag], orders):
+                if not admissible(params):
+                    continue
+                generated = fn(*params)
+                if _canonical(generated) != target:
                     continue
                 # canonical assignment: all assignments for fixed params
                 # differ only by permuting identical points, so handing out
                 # each group's sorted names in slot order gives the
                 # lexicographically smallest one
-                slot_names = [""] * 4
-                handed: dict[int, int] = {}
-                for s in range(4):
-                    g = group[assign[s]]
-                    slot_names[s] = names_by_group[g][handed.get(g, 0)]
-                    handed[g] = handed.get(g, 0) + 1
-                found[key] = tuple(slot_names)
+                handed: dict[tuple[int, ...], int] = {}
+                slot_names = []
+                for ws in generated:
+                    m = tuple(sorted(-w for w in ws) if rev else sorted(ws))
+                    slot_names.append(names_by_multiset[m][handed.get(m, 0)])
+                    handed[m] = handed.get(m, 0) + 1
+                found[(tag, params, rev)] = tuple(slot_names)
     ordered = sorted(found.items(),
                      key=lambda kv: (_TAG_ORDER[kv[0][0]], kv[0][1], kv[0][2]))
     return ClassificationResult(tuple(

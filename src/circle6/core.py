@@ -298,9 +298,9 @@ def _parse_document(doc) -> FixedPointData:
 def load(source: str | Path | IO[str]) -> FixedPointData:
     """Read and fully check a dataset document.
 
-    Raises ParseError for malformed JSON or schema violations, and
-    ValidationError (carrying the violation list) when the document is
-    schema-valid but breaks a dataset invariant.
+    Raises ParseError for an unreadable file, malformed JSON or schema
+    violations, and ValidationError (carrying the violation list) when the
+    document is schema-valid but breaks a dataset invariant.
     """
     try:
         if hasattr(source, "read"):
@@ -310,6 +310,8 @@ def load(source: str | Path | IO[str]) -> FixedPointData:
                 doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
+    except OSError as exc:
+        raise ParseError(f"cannot read {source}: {exc}") from exc
     data = _parse_document(doc)
     violations = validate(data)
     if violations:

@@ -49,11 +49,16 @@ class Multigraph:
         """Graphviz source; vertex and edge order is reproducible."""
         lines = [f"graph {name} {{"]
         for v in sorted(self.vertices):
-            lines.append(f'  "{v}";')
+            lines.append(f"  {_dot_id(v)};")
         for u, v, label in sorted(self.edges):
-            lines.append(f'  "{u}" -- "{v}" [label="{label}"];')
+            lines.append(f'  {_dot_id(u)} -- {_dot_id(v)} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _dot_id(text: str) -> str:
+    """A double-quoted DOT identifier; backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 class ConnectivityVerdict(Enum):

@@ -33,15 +33,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .core import (FixedPoint, FixedPointData, HomologyProfile, SPHERE_PROFILE,
                    Violation, validate)
 from .classifier import recognize_diffeotype
 from .errors import (BadDimensions, InvalidData, MissingProfile, NotAdmissible,
                      NotSimplyConnected, WrongDimension)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class HomotopyGroup(Enum):
@@ -284,7 +285,7 @@ def equivariantly_formal(profile: HomologyProfile, integral: bool = False) -> bo
 # collar gluing identity (the only floating-point check in the package)
 # ---------------------------------------------------------------------------
 
-CollarMap = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], tuple]
+CollarMap = Callable[["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"], tuple]
 
 
 def _twist(z1, z2, z3, t):
@@ -353,6 +354,10 @@ def verify_framing_reversal_identity(
     h = collar_map if collar_map is not None else _twist
     h_inv = collar_map_inverse if collar_map_inverse is not None else _twist_inverse
     radial = alpha if alpha is not None else (lambda r: 1.0 / r)
+
+    # imported here, not at module level: numpy costs ~14 MB of resident
+    # memory, and only this check needs it
+    import numpy as np
 
     rng = np.random.default_rng(seed)
     z1 = np.exp(2j * np.pi * rng.random(samples))

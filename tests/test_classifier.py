@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import random
+from functools import cache
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circle6 import (
     BadParams,
@@ -77,17 +81,48 @@ def test_case_c_takes_any_integer_even_zero():
 def test_templates_are_affine_in_the_parameters():
     # the matcher derives linear forms from the family functions by probing;
     # affineness is what makes that sound
-    from circle6.classifier import _FAMILIES, _FORMS
+    from circle6.classifier import _FAMILIES, _affine_forms
     rng = random.Random(17)
     for tag, (names, fn) in _FAMILIES.items():
         k = len(names)
+        forms = _affine_forms(fn, k)
         for _ in range(20):
             params = [rng.randint(-9, 9) for _ in range(k)]
             rows = fn(*params)
             for s in range(4):
                 for e in range(3):
-                    coeffs, const = _FORMS[tag][s][e]
+                    coeffs, const = forms[s][e]
                     assert rows[s][e] == const + sum(c * p for c, p in zip(coeffs, params))
+
+
+def test_pinning_slots_are_derived_from_the_templates():
+    from circle6.classifier import _PLANS
+    slots = {tag.letter: tuple(pin.slot for pin in plan.pins) for tag, plan in _PLANS.items()}
+    assert slots == {"A": (0,), "B": (0,), "C": (1,), "D": (0, 2), "E": (0,), "F": (0,)}
+    # the sign prefilter: case A's slot 0 is the all-positive point, case D
+    # pins zero-sum points of sign pattern (+, +, -), case C only constants
+    assert _PLANS[CaseTag.A_CP3].pins[0].signs == (1, 1, 1)
+    assert [(pin.signs, pin.total) for pin in _PLANS[CaseTag.D_S6_union].pins] == [
+        ((1, 1, -1), 0), ((1, 1, -1), 0)]
+    assert _PLANS[CaseTag.C_Fano].pins[0].signs == (-1, 1, 0)
+
+
+def test_greedy_inverse_skips_dependent_rows_and_keeps_a_denominator():
+    from circle6.classifier import _greedy_inverse
+    vectors = [(2, 0), (4, 0), (1, 3), (5, 5)]
+    picked, inverse, den = _greedy_inverse(vectors, 2)
+    assert picked == [0, 2]
+    assert (inverse, den) == (((3, 0), (-1, 2)), 6)
+
+
+def test_positive_parameter_cases_match_the_constraints():
+    # the sign prefilter trusts _POSITIVE_PARAMS; it must agree with the
+    # constraints gen_family enforces
+    from circle6.classifier import _CONSTRAINTS, _POSITIVE_PARAMS
+    for tag in CaseTag:
+        k = len(param_names(tag))
+        below = tuple(range(0, -k, -1))          # 0, -1, -2, ...: distinct
+        assert _CONSTRAINTS[tag](below) == (tag not in _POSITIVE_PARAMS), tag
 
 
 # ---- classification ------------------------------------------------------
@@ -186,6 +221,126 @@ def test_param_names():
     assert param_names("A") == ("a", "b", "c")
     assert param_names("C") == ("a",)
     assert param_names("D") == ("a", "b", "c", "d")
+
+
+# ---- classification against a brute-force reference -----------------------
+
+# Every family parameter is (up to sign) a weight entry of its family member,
+# so data whose weights are bounded by M can only match parameters in
+# [1, M] (case C: [-M, M] without 0). Tabulating every such member, reversed
+# or not, gives the full answer for all data with |w| <= M.
+TABLE_BOUND = 12
+
+
+def _key(rows):
+    return tuple(sorted(tuple(sorted(ws)) for ws in rows))
+
+
+@cache
+def _reference_table():
+    table: dict = {}
+    for tag in CaseTag:
+        k = len(param_names(tag))
+        values = (range(-TABLE_BOUND, TABLE_BOUND + 1) if tag is CaseTag.C_Fano
+                  else range(1, TABLE_BOUND + 1))
+        for params in product(values, repeat=k):
+            try:
+                rows = gen_family(jang_case(tag, *params)).weight_rows()
+            except BadParams:
+                continue
+            if any(w == 0 for ws in rows for w in ws):
+                continue
+            for rev in (False, True):
+                signed = [tuple(-w for w in ws) for ws in rows] if rev else rows
+                table.setdefault(_key(signed), set()).add((tag, params, rev))
+    return table
+
+
+def _check_against_reference(data):
+    assert max(abs(w) for p in data.points for w in p.weights) <= TABLE_BOUND
+    result = classify(data)
+    got = {(m.case.tag, m.case.params, m.reversed) for m in result.matches}
+    assert got == _reference_table().get(_key(data.weight_rows()), set()), data
+    by_name = {p.name: sorted(p.weights) for p in data.points}
+    for m in result.matches:
+        assert sorted(m.assignment) == sorted(by_name)
+        sign = -1 if m.reversed else 1
+        for slot, ws in enumerate(gen_family(m.case).weight_rows()):
+            assert by_name[m.assignment[slot]] == sorted(sign * w for w in ws)
+
+
+def test_classify_agrees_with_the_table_on_all_sphere_sums():
+    for a, b, c, d in product(range(1, 7), repeat=4):
+        _check_against_reference(dataset(3, [
+            ("p1", (a, b, -a - b)), ("p2", (-a, -b, a + b)),
+            ("p3", (c, d, -c - d)), ("p4", (-c, -d, c + d))]))
+
+
+def test_classify_agrees_with_the_table_on_random_data():
+    rng = random.Random(23)
+    nonzero = [w for w in range(-4, 5) if w]
+    for _ in range(400):
+        _check_against_reference(dataset(3, [
+            (f"p{i}", tuple(rng.choice(nonzero) for _ in range(3))) for i in range(4)]))
+
+
+def test_classify_agrees_with_the_table_on_family_members():
+    rng = random.Random(29)
+    members = sorted(key for key in _reference_table()
+                     if max(abs(w) for ws in key for w in ws) <= TABLE_BOUND)
+    for key in rng.sample(members, 300):
+        rows = [tuple(rng.sample(ws, 3)) for ws in key]
+        rng.shuffle(rows)
+        _check_against_reference(dataset(3, [(f"p{i}", ws) for i, ws in enumerate(rows)]))
+
+
+_NONZERO = st.integers(-5, 5).filter(bool)
+
+
+@st.composite
+def four_point_data(draw):
+    """A family member (possibly reversed) or random data, as weight rows."""
+    if draw(st.booleans()):
+        return [tuple(draw(st.lists(_NONZERO, min_size=3, max_size=3))) for _ in range(4)]
+    tag = draw(st.sampled_from(list(CaseTag)))
+    k = len(param_names(tag))
+    lo = -5 if tag is CaseTag.C_Fano else 1
+    params = draw(st.lists(st.integers(lo, 5).filter(bool), min_size=k, max_size=k))
+    try:
+        rows = gen_family(jang_case(tag, *params)).weight_rows()
+    except BadParams:
+        rows = gen_family(jang_case("A", 1, 2, 3)).weight_rows()
+    return [tuple(-w for w in ws) for ws in rows] if draw(st.booleans()) else list(rows)
+
+
+def _triples(result):
+    return {(m.case.tag, m.case.params, m.reversed) for m in result.matches}
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=four_point_data(), data=st.data())
+def test_classify_is_invariant_under_point_and_weight_permutations(rows, data):
+    named = [(f"p{i}", ws) for i, ws in enumerate(rows)]
+    shuffled = data.draw(st.permutations(named))
+    shuffled = [(name, tuple(data.draw(st.permutations(ws)))) for name, ws in shuffled]
+    assert classify(dataset(3, shuffled)) == classify(dataset(3, named))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=four_point_data(), data=st.data())
+def test_classify_is_invariant_under_renaming(rows, data):
+    names = data.draw(st.permutations(["a", "b", "c", "zz"]))
+    renamed = classify(dataset(3, list(zip(names, rows))))
+    original = classify(dataset(3, [(f"p{i}", ws) for i, ws in enumerate(rows)]))
+    assert _triples(renamed) == _triples(original)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=four_point_data())
+def test_negating_all_weights_flips_every_reversed_flag(rows):
+    d = dataset(3, [(f"p{i}", ws) for i, ws in enumerate(rows)])
+    flipped = {(tag, params, not rev) for tag, params, rev in _triples(classify(d))}
+    assert _triples(classify(negate_all(d))) == flipped
 
 
 # ---- diffeotype recognition ----------------------------------------------

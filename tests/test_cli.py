@@ -92,6 +92,15 @@ def test_classify_wrong_point_count(tmp_path, capsys):
     assert payload["error"] == "WrongPointCount"
 
 
+def test_missing_file_is_a_json_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    for command in ("localize", "classify"):
+        code, payload = _run_json(capsys, [command, missing])
+        assert code == 1
+        assert payload["error"] == "ParseError"
+        assert payload["message"].startswith(f"cannot read {missing}")
+
+
 def test_generate_bad_params(capsys):
     code, payload = _run_json(capsys, ["generate", "A", "1", "1", "2"])
     assert code == 1
@@ -199,6 +208,23 @@ def test_sweep_skips_constraint_violating_tuples(capsys):
     assert code == 0
     assert payload["checked"] == 6   # ordered distinct triples from 27 tuples
     assert payload["skipped"] == 21
+
+
+def test_sweep_counts_failures_beyond_the_listed_ones(capsys):
+    code, payload = _run_json(capsys, [
+        "sweep", "--case", "D", "--a", "1..2", "--b", "1..2", "--c", "1..2",
+        "--d", "1..2", "--assert", "c1_cubed=1", "--max-failures", "1"])
+    assert code == 1
+    assert payload == {
+        "case": "D_S6_union",
+        "assertions": ["c1_cubed=1/1"],
+        "checked": 16,
+        "skipped": 0,
+        "failures": [{"params": [1, 1, 1, 1], "invariant": "c1_cubed",
+                      "expected": "1/1", "actual": "0/1"}],
+        "failures_not_listed": 15,
+        "ok": False,
+    }
 
 
 def test_sweep_rejects_float_assertions(capsys):

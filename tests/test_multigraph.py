@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -200,3 +201,17 @@ def test_dot_export_is_deterministic():
         '  "p1" -- "p2" [label="3"];\n'
         "}\n"
     )
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    names = ['say "hi"', "back\\slash", 'both\\"']
+    d = dataset(3, [(names[0], (1, 2, -3)), (names[1], (-1, -2, 3)),
+                    (names[2], (1, 1, -2)), ("plain", (-1, -1, 2))])
+    text = "".join(g.to_dot() for g in build_multigraphs(d))
+    # every double-quoted DOT string closes where it should, and unescapes
+    # back to a point name or an edge label
+    quoted = re.findall(r'"((?:[^"\\]|\\.)*)"', text)
+    unescaped = {re.sub(r"\\(.)", r"\1", q) for q in quoted}
+    assert set(names) | {"plain"} <= unescaped
+    assert unescaped - set(names) - {"plain"} <= {"1", "2", "3"}
+    assert re.sub(r'"(?:[^"\\]|\\.)*"', "", text).count('"') == 0
