@@ -7,13 +7,23 @@ the combinatorial shadow of the isotropy-sphere graph of the action.
 The pairing is usually not unique, so `build_multigraphs` enumerates all
 of them (deduplicated by resulting edge multiset) and
 `connectivity_verdict` summarizes connectivity over the whole list.
+
+Occurrences at one point are interchangeable, so the pairings of one
+magnitude are enumerated as point-level contingency tables (positive
+points by negative points) in lexicographic order. The graphs form the
+product of the per-magnitude choices, magnitudes ascending and the
+largest varying fastest; the walk over that product shares the edges and
+the component labelling of each prefix of choices among all the graphs
+below it. Both walks keep their own stack, so data with thousands of
+points or magnitudes cannot exhaust the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import accumulate
 from math import gcd
 
 from .core import FixedPointData, validate
@@ -46,14 +56,22 @@ class Multigraph:
         return sum((u == vertex) + (v == vertex) for u, v, _ in self.edges)
 
     def to_dot(self, name: str = "pairing") -> str:
-        """Graphviz source; vertex and edge order is reproducible."""
-        lines = [f"graph {name} {{"]
+        """Graphviz source; vertex and edge order is reproducible. The graph
+        name is written bare when it is a plain DOT ID, else quoted."""
+        plain = _PLAIN_DOT_ID.fullmatch(name) and name.lower() not in _DOT_KEYWORDS
+        lines = [f"graph {name if plain else _dot_id(name)} {{"]
         for v in sorted(self.vertices):
             lines.append(f"  {_dot_id(v)};")
         for u, v, label in sorted(self.edges):
             lines.append(f'  {_dot_id(u)} -- {_dot_id(v)} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+_PLAIN_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# reserved words of the DOT language (case-insensitive), which no bare ID
+# may spell
+_DOT_KEYWORDS = frozenset({"graph", "digraph", "subgraph", "node", "edge", "strict"})
 
 
 def _dot_id(text: str) -> str:
@@ -94,35 +112,97 @@ def make_graph(vertices, edges) -> Multigraph:
     return Multigraph(verts, canon, _components(verts, canon))
 
 
-def _distinct_pairings(pos: list[str], neg: list[str], cap: int):
-    """Distinct ways to pair each positive occurrence with a negative one.
+def _distinct_pairings(pos: dict[str, int], neg: dict[str, int], cap: int) -> list[tuple]:
+    """Distinct ways to pair each positive occurrence with a negative one,
+    given the occurrence counts at each point.
 
-    Returns canonical edge multisets (sorted tuples of vertex pairs).
-    Occurrences at the same point are interchangeable, so recursion fixes
-    the first remaining positive and branches over *distinct* partners
-    only; the final dedup by edge multiset also merges pairings that differ
-    by swapping equal positives.
+    Returns canonical edge multisets (sorted tuples of vertex pairs) in
+    lexicographic order of point-level contingency tables: rows are the
+    sorted positive points with their multiplicities, columns the sorted
+    negative points, and each row in turn takes a nondecreasing multiset
+    of the remaining partners, smallest first. That is the first-seen
+    order of pairing occurrences one at a time. Distinct tables give
+    distinct edge multisets unless a point carries both +m and -m (then
+    (p, q) and (q, p) are one edge), so the dedup by key merges only
+    those.
+
+    The walk is a depth-first search on an explicit stack of the nonzero
+    cells: a row fills the columns left to right, each as full as it can,
+    skipping exhausted columns, and the last row takes what is left. A
+    cell can give one occurrence back to the columns on its right while
+    its row still fits there.
     """
-    out: dict[tuple, None] = {}
+    rows = sorted(pos.items())
+    cols = sorted(neg)
+    rem = list(map(neg.__getitem__, cols))
+    open_cols = bytearray([1]) * len(cols)      # 1 where rem > 0
+    # occurrences still unpaired when each row starts
+    unpaired = list(accumulate(count for _, count in reversed(rows)))[::-1]
+    last = len(rows) - 1
+    # one canonical pair per cell, shared by every key that holds it
+    pairs: dict[tuple[int, int], tuple[str, str]] = {}
 
-    def rec(pos_left: tuple[str, ...], neg_left: tuple[str, ...], acc: list):
+    def pair_at(i: int, j: int) -> tuple[str, str]:
+        pair = pairs.get((i, j))
+        if pair is None:
+            p, q = rows[i][0], cols[j]
+            pair = pairs[i, j] = (p, q) if p <= q else (q, p)
+        return pair
+
+    # one entry per nonzero cell: row, column, pair, count taken, least
+    # count, row quota before the cell, row-start capacity right of it
+    stack: list[tuple] = []
+    acc: list[tuple[str, str]] = []
+    out: dict[tuple, None] = {}
+    i, j, left, room = 0, -1, rows[0][1], unpaired[0]
+    while True:
+        while i < last:         # descend, each cell as full as it can be
+            if not left:
+                i += 1
+                j, left, room = -1, rows[i][1], unpaired[i]
+                continue
+            j = open_cols.find(1, j + 1)
+            pair = pair_at(i, j)
+            have = rem[j]
+            room -= have
+            take = have if have < left else left
+            stack.append((i, j, pair, take, left - room, left, room))
+            rem[j] = have - take
+            if take == have:
+                open_cols[j] = 0
+            left -= take
+            acc += [pair] * take
         if len(out) > cap:
             raise CapExceeded(f"more than {cap} pairings for one weight magnitude")
-        if not pos_left:
-            key = tuple(sorted(acc))
-            out.setdefault(key)
-            return
-        head, rest = pos_left[0], pos_left[1:]
-        for i, partner in enumerate(neg_left):
-            if partner in neg_left[:i]:
-                continue
-            pair = (head, partner) if head <= partner else (partner, head)
-            acc.append(pair)
-            rec(rest, neg_left[:i] + neg_left[i + 1:], acc)
-            acc.pop()
-
-    rec(tuple(sorted(pos)), tuple(sorted(neg)), [])
-    return list(out)
+        edges = acc[:]
+        c = open_cols.find(1)
+        while c >= 0:
+            edges += [pair_at(last, c)] * rem[c]
+            c = open_cols.find(1, c + 1)
+        key = tuple(sorted(edges))
+        if key not in out:
+            out[key] = None
+            # past the cap, refuse here when occurrence order has another
+            # pairing to come: a later table (caught above) or a reordering
+            # of a row with two partners; the last table with one partner
+            # per row is left to build_multigraphs' overall count
+            if len(out) > cap and len(stack) + open_cols.count(1) > len(rows):
+                raise CapExceeded(f"more than {cap} pairings for one weight magnitude")
+        while stack:            # backtrack to the deepest cell that can shrink
+            i, j, pair, take, least, left, room = stack.pop()
+            rem[j] += take
+            open_cols[j] = 1
+            del acc[-take:]
+            if take > least:
+                take -= 1
+                if take:
+                    stack.append((i, j, pair, take, least, left, room))
+                    rem[j] -= take
+                    acc += [pair] * take
+                left -= take
+                break
+        else:
+            return list(out)
 
 
 def build_multigraphs(data: FixedPointData, cap: int = DEFAULT_MATCHING_CAP) -> list[Multigraph]:
@@ -131,38 +211,120 @@ def build_multigraphs(data: FixedPointData, cap: int = DEFAULT_MATCHING_CAP) -> 
     Raises UnpairableWeights when the signed weight multiset over all
     points is asymmetric (some w without a matching -w), and CapExceeded
     when there are more than `cap` distinct pairings; the verdict must be
-    exact, so the enumerator never samples. An empty dataset yields the
-    single empty graph.
+    exact, so the enumerator never samples. An empty dataset has the
+    single empty pairing, whose graph has no vertices.
     """
     violations = validate(data)
     if violations:
         raise InvalidData(violations)
-    pos: dict[int, list[str]] = {}
-    neg: dict[int, list[str]] = {}
+    # occurrences of +m and of -m at each point, for every magnitude m
+    pos: dict[int, dict[str, int]] = {}
+    neg: dict[int, dict[str, int]] = {}
     for p in data.points:
         for w in p.weights:
-            (pos if w > 0 else neg).setdefault(abs(w), []).append(p.name)
+            at = (pos if w > 0 else neg).setdefault(abs(w), {})
+            at[p.name] = at.get(p.name, 0) + 1
     for m in sorted(set(pos) | set(neg)):
-        if len(pos.get(m, [])) != len(neg.get(m, [])):
+        plus, minus = sum(pos.get(m, {}).values()), sum(neg.get(m, {}).values())
+        if plus != minus:
             raise UnpairableWeights(
-                f"weight magnitude {m}: {len(pos.get(m, []))} positive vs "
-                f"{len(neg.get(m, []))} negative occurrences")
+                f"weight magnitude {m}: {plus} positive vs {minus} negative occurrences")
     vertices = data.names()
-    per_magnitude: list[tuple[int, list[tuple]]] = []
+    rank = {v: r for r, v in enumerate(sorted(vertices))}
+    shared: list[tuple[str, str, int]] = []
+    levels: list[list[tuple[tuple, tuple]]] = []
     total = 1
     for m in sorted(pos):
         choices = _distinct_pairings(pos[m], neg[m], cap)
         total *= len(choices)
         if total > cap:
-            raise CapExceeded(f"more than {cap} distinct pairings overall")
-        per_magnitude.append((m, choices))
+            break
+        if len(choices) == 1:   # in every graph; no level of the product
+            shared.extend((u, v, m) for u, v in choices[0])
+            continue
+        # each choice as its labelled edges and the vertex ranks it joins
+        levels.append([(tuple((u, v, m) for u, v in key),
+                        tuple(dict.fromkeys((rank[u], rank[v]) for u, v in key if u != v)))
+                       for key in choices])
+    if total > cap:
+        raise CapExceeded(f"more than {cap} distinct pairings overall")
+    return _product_graphs(vertices, rank, shared, levels)
+
+
+def _product_graphs(vertices: tuple[str, ...], rank: dict[str, int], shared: list,
+                    levels: list[list[tuple[tuple, tuple]]]) -> list[Multigraph]:
+    """One Multigraph per pick of one choice from every level, in
+    itertools.product order (last level fastest), each graph also holding
+    the `shared` edges.
+
+    `rank` numbers the vertices in sorted order; a component labelling
+    maps each vertex rank to the least rank in its component. Consecutive
+    picks share a prefix of levels, so the edges and labelling after each
+    level are kept and rebuilt only from the first level that changed, in
+    an odometer walk with no recursion. What a level's choices make of a
+    labelling is cached by that labelling, and only the final edge lists
+    are sorted.
+    """
+    names = list(rank)
+    base = [0] * len(names)
+    for comp in _components(vertices, shared):
+        for v in comp:
+            base[rank[v]] = rank[comp[0]]
+    levels = levels or [[((), ())]]     # no level: one graph, no more edges
+    *upper, bottom = levels
+    depth = len(upper)
+    pick = [0] * depth
+    edges: list[tuple] = [tuple(shared)] * (depth + 1)
+    labels: list[tuple[int, ...]] = [tuple(base)] * (depth + 1)
+    # per level: the labelling above it -> the labelling after each choice
+    # (the components, on the last level)
+    steps: list[dict[tuple[int, ...], list]] = [{} for _ in levels]
+    partitions: dict[tuple[int, ...], tuple[tuple[str, ...], ...]] = {}
+
+    def components(label):
+        comps = partitions.get(label)
+        if comps is None:
+            groups: dict[int, list[str]] = {}
+            for r, least in enumerate(label):
+                groups.setdefault(least, []).append(names[r])
+            # groups appear in order of their least rank, i.e. sorted
+            comps = partitions[label] = tuple(tuple(g) for g in groups.values())
+        return comps
+
     graphs = []
-    for combo in product(*(choices for _, choices in per_magnitude)):
-        edges = []
-        for (m, _), pairs in zip(per_magnitude, combo):
-            edges.extend((u, v, m) for u, v in pairs)
-        graphs.append(make_graph(vertices, edges))
-    return graphs
+    changed = 0
+    while True:
+        for lv in range(changed, depth):
+            label = labels[lv]
+            after = steps[lv].get(label)
+            if after is None:
+                after = steps[lv][label] = [_join(label, links) for _, links in upper[lv]]
+            labels[lv + 1] = after[pick[lv]]
+            edges[lv + 1] = edges[lv] + upper[lv][pick[lv]][0]
+        label, prefix = labels[depth], edges[depth]
+        row = steps[depth].get(label)
+        if row is None:
+            row = steps[depth][label] = [components(_join(label, links)) for _, links in bottom]
+        for (triples, _), comps in zip(bottom, row):
+            graphs.append(Multigraph(vertices, tuple(sorted(prefix + triples)), comps))
+        changed = depth - 1
+        while changed >= 0 and pick[changed] == len(upper[changed]) - 1:
+            pick[changed] = 0
+            changed -= 1
+        if changed < 0:
+            return graphs
+        pick[changed] += 1
+
+
+def _join(label: tuple[int, ...], links) -> tuple[int, ...]:
+    """The component labelling after adding edges between the rank pairs
+    in `links`."""
+    for a, b in links:
+        la, lb = label[a], label[b]
+        if la != lb:
+            lo, hi = (la, lb) if la < lb else (lb, la)
+            label = tuple([lo if x == hi else x for x in label])
+    return label
 
 
 def raw_pairing_count(data: FixedPointData) -> int:

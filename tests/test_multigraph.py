@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import random
 import re
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circle6 import (
     BadWeights,
     CapExceeded,
     ConnectivityVerdict,
     InvalidData,
+    Multigraph,
     UnpairableWeights,
     build_multigraphs,
     connectivity_verdict,
@@ -21,6 +24,7 @@ from circle6 import (
     gen_family,
     jang_case,
     linear_action_isotropy,
+    negate_all,
     raw_pairing_count,
     standard_sphere,
     kustarev_sum,
@@ -100,6 +104,39 @@ def test_cap_aborts_instead_of_sampling():
                                       ("p3", (1, 1, -2)), ("p4", (-1, -1, 2))]), cap=1)
 
 
+def test_cap_counts_the_empty_pairing_too():
+    empty = dataset(3, [])
+    with pytest.raises(CapExceeded):
+        build_multigraphs(empty, cap=0)
+    assert len(build_multigraphs(empty, cap=1)) == 1
+    with pytest.raises(CapExceeded):
+        build_multigraphs(sphere_data(1, 2), cap=0)
+    assert len(build_multigraphs(sphere_data(1, 2), cap=1)) == 1
+
+
+def test_long_sphere_chain_is_refused_not_a_recursion_error():
+    # 1200 points whose magnitude-1 table has 600 rows and 600 columns; a
+    # cap below the default keeps the stored pairings small, and the walk
+    # goes just as deep before it trips
+    data = standard_sphere(1, 1)
+    for _ in range(599):
+        data = kustarev_sum(data, None, standard_sphere(1, 1), None).data
+    with pytest.raises(CapExceeded):
+        build_multigraphs(data, cap=1_000)
+
+
+def test_union_of_700_magnitude_disjoint_spheres():
+    # 2100 magnitudes, each paired one way: one graph with 700 components
+    rows = []
+    for i in range(700):
+        a, b = 4 * i + 1, 4 * i + 2
+        rows += [(f"s{i}+", (a, b, -a - b)), (f"s{i}-", (-a, -b, a + b))]
+    graphs = build_multigraphs(dataset(3, rows))
+    assert len(graphs) == 1
+    assert len(graphs[0].components) == 700
+    assert connectivity_verdict(graphs) is ConnectivityVerdict.NEVER_CONNECTED
+
+
 # ---- brute-force cross-checks ---------------------------------------------
 
 def _brute_force(data):
@@ -160,6 +197,141 @@ def test_sphere_union_components_for_disjoint_magnitudes():
             assert len(g.components) == 2
 
 
+# ---- the occurrence-level enumerator as a frozen reference ----------------
+
+def _occurrence_pairings(pos, neg, cap):
+    """Pair the first remaining positive occurrence with each distinct
+    remaining partner in sorted order, recursively; dedup the edge
+    multisets in first-seen order. The cap trips on entering any node once
+    more than `cap` distinct multisets are known."""
+    out = {}
+
+    def rec(pos_left, neg_left, acc):
+        if len(out) > cap:
+            raise CapExceeded(f"more than {cap} pairings for one weight magnitude")
+        if not pos_left:
+            out.setdefault(tuple(sorted(acc)))
+            return
+        head, rest = pos_left[0], pos_left[1:]
+        for i, partner in enumerate(neg_left):
+            if partner in neg_left[:i]:
+                continue
+            acc.append((head, partner) if head <= partner else (partner, head))
+            rec(rest, neg_left[:i] + neg_left[i + 1:], acc)
+            acc.pop()
+
+    rec(tuple(sorted(pos)), tuple(sorted(neg)), [])
+    return list(out)
+
+
+def _partition(vertices, edges):
+    comp = {v: frozenset([v]) for v in vertices}
+    for u, v, _ in edges:
+        if comp[u] is not comp[v]:
+            merged = comp[u] | comp[v]
+            for x in merged:
+                comp[x] = merged
+    return tuple(sorted({tuple(sorted(c)) for c in comp.values()}))
+
+
+def _occurrence_graphs(data, cap):
+    """The graphs of every combination of per-magnitude pairings, in
+    itertools.product order, each built from scratch."""
+    pos, neg = {}, {}
+    for p in data.points:
+        for w in p.weights:
+            (pos if w > 0 else neg).setdefault(abs(w), []).append(p.name)
+    per_magnitude = []
+    total = 1
+    for m in sorted(pos):
+        choices = _occurrence_pairings(pos[m], neg[m], cap)
+        total *= len(choices)
+        if total > cap:
+            raise CapExceeded(f"more than {cap} distinct pairings overall")
+        per_magnitude.append([[(u, v, m) for u, v in key] for key in choices])
+    graphs = []
+    for combo in product(*per_magnitude):
+        edges = tuple(sorted(e for part in combo for e in part))
+        graphs.append(Multigraph(data.names(), edges, _partition(data.names(), edges)))
+    return graphs
+
+
+def _outcome(build, data, cap):
+    try:
+        return build(data, cap=cap)
+    except CapExceeded as exc:
+        return str(exc)
+
+
+def _differential_inputs():
+    rng = random.Random(41)
+    for _ in range(60):
+        yield random_symmetric_dataset(rng)
+    # case C points carry both +1 and -1, so tables can coincide as edge
+    # multisets; the extra rows add loops
+    for a in (-4, -3, -2, -1, 1, 2, 3, 4):
+        yield gen_family(jang_case("C", a))
+        yield negate_all(gen_family(jang_case("C", a)))
+    yield dataset(3, [("p1", (1, -1, 2)), ("p2", (-1, 1, -2)), ("p3", (1, -1, 1)),
+                      ("p4", (-1, 1, -1))])
+    for k in (2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4):
+        data = standard_sphere(rng.randint(1, 3), rng.randint(1, 3))
+        for _ in range(k - 1):
+            data = kustarev_sum(data, None, standard_sphere(rng.randint(1, 3), rng.randint(1, 3)),
+                                None).data
+        yield data
+
+
+def test_graph_lists_match_the_occurrence_enumerator():
+    for data in _differential_inputs():
+        want = _occurrence_graphs(data, 100_000)
+        assert build_multigraphs(data, cap=100_000) == want
+        # the exact cap boundary, and the message the refusal gives
+        n = len(want)
+        assert build_multigraphs(data, cap=n) == want
+        for cap in {n - 1, 1, 0}:
+            if cap < n:
+                assert _outcome(build_multigraphs, data, cap) == _outcome(
+                    _occurrence_graphs, data, cap)
+
+
+def _point_rows(halves):
+    rows = [(f"q{i}", ws) for i, ws in enumerate(halves)]
+    return rows + [(f"r{i}", tuple(-w for w in ws)) for i, ws in enumerate(halves)]
+
+
+def _shape(graphs):
+    return (len(graphs), connectivity_verdict(graphs),
+            sorted(sorted(len(c) for c in g.components) for g in graphs))
+
+
+_weight = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+
+@settings(max_examples=80, deadline=None)
+@given(halves=st.lists(st.tuples(_weight, _weight, _weight), min_size=1, max_size=3),
+       data=st.data())
+def test_renaming_and_permuting_points_keep_count_verdict_and_sizes(halves, data):
+    rows = _point_rows(halves)
+    order = data.draw(st.permutations(range(len(rows))))
+    names = data.draw(st.permutations([f"v{i}" for i in range(len(rows))]))
+    moved = [(names[i], rows[i][1]) for i in order]
+    assert _shape(build_multigraphs(dataset(3, moved))) == _shape(
+        build_multigraphs(dataset(3, rows)))
+
+
+def test_components_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(29)
+    for _ in range(25):
+        for g in build_multigraphs(random_symmetric_dataset(rng), cap=100_000)[:200]:
+            multi = nx.MultiGraph()
+            multi.add_nodes_from(g.vertices)
+            multi.add_edges_from((u, v) for u, v, _ in g.edges)
+            assert g.components == tuple(sorted(
+                tuple(sorted(c)) for c in nx.connected_components(multi)))
+
+
 # ---- linear model and the obstruction -------------------------------------
 
 def test_linear_isotropy_graph_shape():
@@ -215,3 +387,18 @@ def test_dot_export_escapes_quotes_and_backslashes():
     assert set(names) | {"plain"} <= unescaped
     assert unescaped - set(names) - {"plain"} <= {"1", "2", "3"}
     assert re.sub(r'"(?:[^"\\]|\\.)*"', "", text).count('"') == 0
+
+
+def test_dot_graph_name_is_quoted_unless_a_plain_id():
+    g = build_multigraphs(sphere_data(1, 2))[0]
+    first = {name: g.to_dot(name=name).split("\n", 1)[0]
+             for name in ("pairing", "g0", "_x9", "my graph", "2x", 'say "hi"', "Graph")}
+    assert first == {
+        "pairing": "graph pairing {",
+        "g0": "graph g0 {",
+        "_x9": "graph _x9 {",
+        "my graph": 'graph "my graph" {',
+        "2x": 'graph "2x" {',
+        'say "hi"': 'graph "say \\"hi\\"" {',
+        "Graph": 'graph "Graph" {',     # a DOT keyword in any case
+    }
