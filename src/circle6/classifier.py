@@ -30,8 +30,8 @@ from math import lcm
 from operator import mul, sub
 from typing import Callable, Mapping
 
-from .core import FixedPointData, HomologyProfile, dataset, validate
-from .errors import BadParams, InvalidData, MissingProfile, WrongDimension, WrongPointCount
+from .core import FixedPointData, HomologyProfile, _require_valid, dataset
+from .errors import BadParams, MissingProfile, WrongDimension, WrongPointCount
 
 
 class CaseTag(Enum):
@@ -340,9 +340,7 @@ def classify(data: FixedPointData) -> ClassificationResult:
     result does not depend on the order of points or of weights within a
     point.
     """
-    violations = validate(data)
-    if violations:
-        raise InvalidData(violations)
+    _require_valid(data)
     if data.n != 3:
         raise WrongDimension(f"classification needs n = 3, got n = {data.n}")
     if len(data.points) != 4:
@@ -401,7 +399,6 @@ def recognize_diffeotype(
     data: FixedPointData,
     profile: HomologyProfile,
     context: Mapping[str, str] | None = None,
-    classification: ClassificationResult | None = None,
 ) -> str | None:
     """Name the diffeomorphism type when one of the recognition rules applies.
 
@@ -414,8 +411,7 @@ def recognize_diffeotype(
       (labels construction = "kustarev-sum", summands = "S^6,S^6") is
       S^4 x S^2.
 
-    `context` defaults to the dataset's own labels; pass a precomputed
-    `classification` to skip re-running classify().
+    `context` defaults to the dataset's own labels.
     """
     if profile is None:
         raise MissingProfile("diffeotype recognition needs a homology profile")
@@ -426,7 +422,7 @@ def recognize_diffeotype(
     if ctx.get("construction") == "kustarev-sum" and ctx.get("summands") == "S^6,S^6":
         return S4_X_S2
     if len(data.points) == 4:
-        result = classification if classification is not None else classify(data)
+        result = classify(data)
         fits_case_f = any(m.case.tag is CaseTag.F_BlC_S6 for m in result.matches)
         if (fits_case_f and profile.simply_connected and profile.torsion_free
                 and profile.b3 == 0):

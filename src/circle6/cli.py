@@ -21,8 +21,8 @@ from . import core
 from .classifier import (CaseTag, JangCase, classify, gen_family, jang_case,
                          param_names)
 from .core import format_rational, parse_rational
-from .errors import ParseError, ToolkitError
-from .localization import c1_cubed, chern_report, chi_y_profile, todd_genus
+from .errors import ParseError, ToolkitError, ValidationError
+from .localization import c1_cubed, chern_report, chi_y_profile
 from .multigraph import DEFAULT_MATCHING_CAP, build_multigraphs, connectivity_verdict
 from .surgery import (DimensionPair, equivariant_normal_framing_class,
                       kustarev_admissible, kustarev_sum, rotation_loop_class,
@@ -30,13 +30,8 @@ from .surgery import (DimensionPair, equivariant_normal_framing_class,
 
 _RANGE_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
 
-# invariants a sweep may assert on, all exact
-_SWEEP_INVARIANTS = {
-    "c1_cubed": c1_cubed,
-    "todd": lambda data: Fraction(todd_genus(data)),
-    "c1c2": lambda data: Fraction(24 * todd_genus(data)),
-    "euler": lambda data: Fraction(len(data.points)),
-}
+# ChernReport fields a sweep may assert on, all exact
+_SWEEP_INVARIANTS = ("c1_cubed", "todd", "c1c2", "euler")
 
 
 def _parse_range(text: str) -> range:
@@ -165,12 +160,11 @@ def _emit(payload: dict, args) -> None:
 
 def _cmd_validate(args):
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        data = core._parse_document(doc)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read {args.file}: {exc}") from exc
-    violations = core.validate(data)
+        core.load(args.file)
+    except ValidationError as exc:
+        violations = exc.violations
+    else:
+        violations = []
     payload = {
         "ok": not violations,
         "violations": [
@@ -184,11 +178,12 @@ def _cmd_validate(args):
 def _cmd_localize(args):
     data = core.load(args.file)
     if args.raw:
+        coeffs = chi_y_profile(data)
         return 0, {
             "c1_cubed": format_rational(c1_cubed(data)),
-            "chi_y_coeffs": chi_y_profile(data),
+            "chi_y_coeffs": coeffs,
             "euler": len(data.points),
-            "todd": todd_genus(data),
+            "todd": coeffs[0],
         }
     return 0, chern_report(data).as_json_dict()
 
@@ -310,14 +305,14 @@ def _cmd_sweep(args):
             skipped += 1  # constraint-violating tuple, e.g. case A with a = b
             continue
         checked += 1
+        if not args.assertions:
+            continue
+        try:
+            report, detail = chern_report(data), None
+        except ToolkitError as exc:
+            report, detail = None, f"{type(exc).__name__}: {exc}"
         for name, expected in args.assertions:
-            try:
-                actual = _SWEEP_INVARIANTS[name](data)
-            except ToolkitError as exc:
-                actual = None
-                detail = f"{type(exc).__name__}: {exc}"
-            else:
-                detail = None
+            actual = getattr(report, name) if report is not None else None
             if actual != expected:
                 if len(failures) < args.max_failures:
                     failures.append({

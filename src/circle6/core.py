@@ -32,7 +32,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
-from .errors import ParseError, ValidationError
+from .errors import InvalidData, ParseError, ValidationError
 
 # Exact rational scalar used everywhere a localization sum can be fractional.
 RationalScalar = Fraction
@@ -110,20 +110,20 @@ def negate_all(data: FixedPointData) -> FixedPointData:
     return FixedPointData(data.n, pts, data.homology, dict(data.labels))
 
 
-def disjoint_union(
-    d1: FixedPointData,
-    d2: FixedPointData,
-    prefixes: tuple[str, str] = ("m1.", "m2."),
-) -> FixedPointData:
-    """Concatenate two datasets of equal n, prefixing names to keep them unique.
+_UNION_PREFIXES = ("m1.", "m2.")
+
+
+def disjoint_union(d1: FixedPointData, d2: FixedPointData) -> FixedPointData:
+    """Concatenate two datasets of equal n, prefixing names "m1." / "m2."
+    to keep them unique.
 
     Carries neither homology nor labels; composition rules that know what
     the union means (e.g. the fiber connect sum) attach their own.
     """
     if d1.n != d2.n:
         raise ValueError(f"cannot union datasets with n={d1.n} and n={d2.n}")
-    pts = tuple(FixedPoint(prefixes[0] + p.name, p.weights) for p in d1.points)
-    pts += tuple(FixedPoint(prefixes[1] + p.name, p.weights) for p in d2.points)
+    pts = tuple(FixedPoint(_UNION_PREFIXES[0] + p.name, p.weights) for p in d1.points)
+    pts += tuple(FixedPoint(_UNION_PREFIXES[1] + p.name, p.weights) for p in d2.points)
     return FixedPointData(d1.n, pts)
 
 
@@ -187,6 +187,16 @@ def validate(data: FixedPointData) -> list[Violation]:
                 "EulerMismatch", None,
                 f"2 + 2*b2 - b3 = {h.euler()} but the dataset has {len(data.points)} fixed points"))
     return out
+
+
+def _require_valid(data: FixedPointData) -> None:
+    """Raise InvalidData carrying every violation unless `data` is valid.
+
+    The one validation pass of each public operation on a dataset argument.
+    """
+    violations = validate(data)
+    if violations:
+        raise InvalidData(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +308,9 @@ def _parse_document(doc) -> FixedPointData:
 def load(source: str | Path | IO[str]) -> FixedPointData:
     """Read and fully check a dataset document.
 
-    Raises ParseError for an unreadable file, malformed JSON or schema
-    violations, and ValidationError (carrying the violation list) when the
-    document is schema-valid but breaks a dataset invariant.
+    Raises ParseError for an unreadable or non-UTF-8 file, malformed JSON
+    or schema violations, and ValidationError (carrying the violation list)
+    when the document is schema-valid but breaks a dataset invariant.
     """
     try:
         if hasattr(source, "read"):
@@ -308,9 +318,9 @@ def load(source: str | Path | IO[str]) -> FixedPointData:
         else:
             with open(source, encoding="utf-8") as fh:
                 doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # too deeply nested
         raise ParseError(f"malformed JSON: {exc}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
     data = _parse_document(doc)
     violations = validate(data)

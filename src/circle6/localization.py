@@ -25,14 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .core import FixedPointData, format_rational, validate
-from .errors import InvalidData, NonIntegralChernNumber, WrongDimension
-
-
-def _require_valid(data: FixedPointData) -> None:
-    violations = validate(data)
-    if violations:
-        raise InvalidData(violations)
+from .core import FixedPointData, _require_valid, format_rational
+from .errors import NonIntegralChernNumber, WrongDimension
 
 
 def c1_cubed(data: FixedPointData) -> Fraction:
@@ -53,6 +47,10 @@ def c1_cubed(data: FixedPointData) -> Fraction:
 def chi_y_profile(data: FixedPointData) -> list[int]:
     """Coefficients N_0 ... N_n counting points by number of negative weights."""
     _require_valid(data)
+    return _chi_y_counts(data)
+
+
+def _chi_y_counts(data: FixedPointData) -> list[int]:
     counts = [0] * (data.n + 1)
     for p in data.points:
         counts[p.negatives()] += 1
@@ -98,7 +96,7 @@ def chern_report(data: FixedPointData) -> ChernReport:
     value = c1_cubed(data)
     if value.denominator != 1:
         raise NonIntegralChernNumber(value)
-    coeffs = chi_y_profile(data)
+    coeffs = _chi_y_counts(data)   # data was validated by c1_cubed
     n0 = coeffs[0]
     return ChernReport(
         c1_cubed=value,

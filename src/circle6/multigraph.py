@@ -24,10 +24,10 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from math import gcd
+from math import factorial, gcd, prod
 
-from .core import FixedPointData, validate
-from .errors import BadWeights, CapExceeded, InvalidData, UnpairableWeights
+from .core import FixedPointData, _require_valid
+from .errors import BadWeights, CapExceeded, UnpairableWeights
 
 #: Abort threshold for pairing enumeration (verdicts must be exact, so the
 #: enumerator refuses to sample when there are too many matchings).
@@ -214,9 +214,7 @@ def build_multigraphs(data: FixedPointData, cap: int = DEFAULT_MATCHING_CAP) -> 
     exact, so the enumerator never samples. An empty dataset has the
     single empty pairing, whose graph has no vertices.
     """
-    violations = validate(data)
-    if violations:
-        raise InvalidData(violations)
+    _require_valid(data)
     # occurrences of +m and of -m at each point, for every magnitude m
     pos: dict[int, dict[str, int]] = {}
     neg: dict[int, dict[str, int]] = {}
@@ -339,13 +337,7 @@ def raw_pairing_count(data: FixedPointData) -> int:
         for w in p.weights:
             if w > 0:
                 counts[w] = counts.get(w, 0) + 1
-    total = 1
-    for k in counts.values():
-        f = 1
-        for i in range(2, k + 1):
-            f *= i
-        total *= f
-    return total
+    return prod(factorial(k) for k in counts.values())
 
 
 def connectivity_verdict(graphs: list[Multigraph]) -> ConnectivityVerdict:

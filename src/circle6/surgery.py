@@ -31,12 +31,12 @@ tolerance and seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .core import (FixedPoint, FixedPointData, HomologyProfile, SPHERE_PROFILE,
-                   Violation, validate)
+                   Violation, _require_valid, disjoint_union)
 from .classifier import recognize_diffeotype
 from .errors import (BadDimensions, InvalidData, MissingProfile, NotAdmissible,
                      NotSimplyConnected, WrongDimension)
@@ -222,19 +222,15 @@ def kustarev_sum(
     preserve torsion-freeness, so the torsion flag is the conjunction.
     Non-simply-connected inputs are refused rather than extrapolated.
 
-    Profiles default to the ones attached to the datasets. The report
-    records the uniqueness flag of the mod-8 gate and, when the summands
-    are recognized, the diffeomorphism type of the result; the output
-    labels carry the same provenance so it survives a save/load round trip.
+    Profiles default to the ones attached to the datasets. Each summand
+    is validated with the profile the sum uses in place of its own, so an
+    explicit profile whose Euler characteristic contradicts the summand's
+    point count raises InvalidData; the sum of two such valid summands is
+    valid by the composition formulas. The report records the uniqueness
+    flag of the mod-8 gate and, when the summands are recognized, the
+    diffeomorphism type of the result; the output labels carry the same
+    provenance so it survives a save/load round trip.
     """
-    for d in (d1, d2):
-        violations = validate(d)
-        if violations:
-            raise InvalidData(violations)
-        if not d.points:
-            raise InvalidData([Violation(
-                "EmptyFixedPointSet", None,
-                "fiber connect sum needs summands with nonempty fixed point sets")])
     if d1.n != d2.n:
         raise WrongDimension(f"summands must have equal n, got {d1.n} and {d2.n}")
     h1 = h1 if h1 is not None else d1.homology
@@ -246,11 +242,15 @@ def kustarev_sum(
         raise NotAdmissible(
             f"2n - k = {2 * d1.n - 1} is not 2, 4, 5, 6 mod 8; no invariant "
             f"almost complex structure on the glue region")
+    for d, h in ((d1, h1), (d2, h2)):
+        _require_valid(FixedPointData(d.n, d.points, h))
+        if not d.points:
+            raise InvalidData([Violation(
+                "EmptyFixedPointSet", None,
+                "fiber connect sum needs summands with nonempty fixed point sets")])
     if not (h1.simply_connected and h2.simply_connected):
         raise NotSimplyConnected("composition formulas need simply connected summands")
 
-    points = tuple(FixedPoint("m1." + p.name, p.weights) for p in d1.points)
-    points += tuple(FixedPoint("m2." + p.name, p.weights) for p in d2.points)
     homology = HomologyProfile(
         simply_connected=True,
         b2=h1.b2 + h2.b2 + 1,
@@ -260,11 +260,11 @@ def kustarev_sum(
     kinds = ("S^6" if is_sphere_summand(d1, h1) else "generic",
              "S^6" if is_sphere_summand(d2, h2) else "generic")
     labels = {"construction": "kustarev-sum", "summands": ",".join(kinds)}
-    data = FixedPointData(d1.n, points, homology=homology, labels=labels)
+    data = replace(disjoint_union(d1, d2), homology=homology, labels=labels)
     diffeotype = recognize_diffeotype(data, homology)
     report = SumReport(
         n=d1.n, k=1, exists=True, unique=adm.unique,
-        b2=homology.b2, b3=homology.b3, euler=len(points),
+        b2=homology.b2, b3=homology.b3, euler=len(data.points),
         summands=kinds, diffeotype=diffeotype,
     )
     return KustarevSum(data=data, homology=homology, report=report)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from circle6 import FixedPointData, dataset
+import pytest
+
+from circle6 import FixedPointData, core, dataset
 
 
 def sphere_points(a: int, b: int) -> list[tuple[str, tuple[int, int, int]]]:
@@ -28,3 +30,18 @@ def random_symmetric_dataset(rng: random.Random, max_points: int = 3,
         rows.append((f"q{i + 1}", ws))
     rows += [(f"r{i + 1}", tuple(-w for w in ws)) for i, (_, ws) in enumerate(rows)]
     return dataset(3, rows)
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """Every dataset passed to `circle6.core.validate` while the test runs,
+    in call order (the list grows as validation happens)."""
+    calls = []
+    original = core.validate
+
+    def counting(data):
+        calls.append(data)
+        return original(data)
+
+    monkeypatch.setattr(core, "validate", counting)
+    return calls

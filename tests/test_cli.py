@@ -289,3 +289,35 @@ def test_quiet_suppresses_stdout(tmp_path, capsys):
     code = run(["localize", str(f), "--quiet"])
     assert code == 0
     assert capsys.readouterr().out == ""
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + '{"n": 3}'.encode("utf-16-le"))
+    good = _write_sphere(tmp_path / "s6.json")
+    for argv in (["validate", str(bad)], ["localize", str(bad)],
+                 ["classify", str(bad)], ["graph", str(bad)],
+                 ["sum", str(bad), str(good)]):
+        code, payload = _run_json(capsys, argv)
+        assert code == 1, argv
+        assert payload["error"] == "ParseError", argv
+
+
+def test_validate_reports_malformed_json_like_every_subcommand(tmp_path, capsys):
+    f = tmp_path / "broken.json"
+    f.write_text('{"n": 3,')
+    code, payload = _run_json(capsys, ["validate", str(f)])
+    assert code == 1
+    assert payload["error"] == "ParseError"
+    assert payload["message"].startswith("malformed JSON: ")
+
+
+def test_sweep_asserts_on_validated_data_only(capsys):
+    # a = 0 puts zero weights in case C; euler is not counted on such data
+    code, payload = _run_json(capsys, ["sweep", "--case", "C", "--a=-1..1",
+                                       "--assert", "euler=4"])
+    assert code == 1
+    assert payload["checked"] == 3
+    [failure] = payload["failures"]
+    assert failure["params"] == [0]
+    assert failure["actual"].startswith("InvalidData: ZeroWeight")

@@ -134,6 +134,11 @@ def test_load_rejects_truncated_file(tmp_path):
         load(path)
 
 
+def test_load_refuses_too_deeply_nested_json():
+    with pytest.raises(ParseError, match="^malformed JSON: "):
+        load(io.StringIO("[" * 100_000 + "]" * 100_000))
+
+
 @pytest.mark.parametrize("doc", [
     [],
     {"fixed_points": []},

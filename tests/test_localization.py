@@ -6,8 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from circle6 import (
+    BadParams,
+    CaseTag,
     InvalidData,
     NonIntegralChernNumber,
     WrongDimension,
@@ -16,7 +20,10 @@ from circle6 import (
     chi_y_profile,
     dataset,
     disjoint_union,
+    gen_family,
+    jang_case,
     negate_all,
+    param_names,
     todd_genus,
 )
 from conftest import sphere_data
@@ -125,3 +132,35 @@ def test_euler_always_counts_fixed_points():
         k = rng.randint(0, 6)
         d = _random_valid(rng, k=k)
         assert sum(chi_y_profile(d)) == k
+
+
+@st.composite
+def integral_data(draw):
+    """A standard sphere or a family member, possibly reversed: data whose
+    c1^3 sum is an integer, so chern_report answers."""
+    if draw(st.booleans()):
+        d = sphere_data(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    else:
+        tag = draw(st.sampled_from(list(CaseTag)))
+        lo = -5 if tag is CaseTag.C_Fano else 1
+        params = draw(st.lists(st.integers(lo, 5).filter(bool),
+                               min_size=len(param_names(tag)),
+                               max_size=len(param_names(tag))))
+        try:
+            d = gen_family(jang_case(tag, *params))
+        except BadParams:
+            assume(False)
+    return negate_all(d) if draw(st.booleans()) else d
+
+
+@settings(max_examples=150, deadline=None)
+@given(d1=integral_data(), d2=integral_data())
+def test_chern_report_is_additive_over_disjoint_union(d1, d2):
+    r1, r2 = chern_report(d1), chern_report(d2)
+    union = chern_report(disjoint_union(d1, d2))
+    assert union.c1_cubed == r1.c1_cubed + r2.c1_cubed
+    assert union.todd == r1.todd + r2.todd
+    assert union.c1c2 == r1.c1c2 + r2.c1c2
+    assert union.euler == r1.euler + r2.euler
+    assert union.chi_y_coeffs == tuple(
+        x + y for x, y in zip(r1.chi_y_coeffs, r2.chi_y_coeffs))

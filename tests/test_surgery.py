@@ -191,6 +191,22 @@ def test_sum_gates():
         kustarev_sum(dataset(3, []), SPHERE_PROFILE, standard_sphere(1, 1), None)
 
 
+def test_sum_validates_summands_against_the_composed_profiles(validate_calls):
+    # a 4-point summand cannot carry the sphere's profile (euler 2)
+    with pytest.raises(InvalidData) as err:
+        kustarev_sum(gen_family(jang_case("D", 1, 2, 3, 4)), SPHERE_PROFILE,
+                     standard_sphere(1, 1), None)
+    assert [v.rule for v in err.value.violations] == ["EulerMismatch"]
+    # nor a 2-point one a b2 = 1 profile; refused before any classification
+    validate_calls.clear()
+    sphere_like = dataset(3, [("p1", (1, 2, -3)), ("p2", (-1, -2, 3))])
+    with pytest.raises(InvalidData) as err:
+        kustarev_sum(sphere_like, HomologyProfile(True, 1, 0, True),
+                     standard_sphere(1, 1), None)
+    assert [v.rule for v in err.value.violations] == ["EulerMismatch"]
+    assert len(validate_calls) == 1
+
+
 def test_torsion_flag_is_conjunction():
     torsion = HomologyProfile(True, 0, 0, False)
     sphere_like = dataset(3, [("p1", (1, 2, -3)), ("p2", (-1, -2, 3))])

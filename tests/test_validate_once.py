@@ -1,0 +1,46 @@
+"""Each public operation validates its dataset argument exactly once."""
+
+from __future__ import annotations
+
+import json
+
+from circle6 import (build_multigraphs, c1_cubed, chern_report, chi_y_profile,
+                     classify, gen_family, jang_case, kustarev_sum, save,
+                     standard_sphere)
+from circle6.cli import run
+
+from conftest import sphere_data
+
+
+def test_each_layer_validates_once(validate_calls):
+    d = sphere_data()
+    for op in (c1_cubed, chi_y_profile, chern_report, build_multigraphs):
+        validate_calls.clear()
+        op(d)
+        assert validate_calls == [d], op.__name__
+    validate_calls.clear()
+    classify(gen_family(jang_case("A", 1, 2, 3)))
+    assert len(validate_calls) == 1
+
+
+def test_sum_of_two_spheres_validates_each_summand_once(validate_calls):
+    kustarev_sum(standard_sphere(1, 2), None, standard_sphere(3, 4), None)
+    assert [len(d.points) for d in validate_calls] == [2, 2]
+
+
+def test_cli_localize_validates_on_load_and_in_the_report(tmp_path, capsys,
+                                                         validate_calls):
+    f = tmp_path / "s6.json"
+    save(standard_sphere(1, 2), f)
+    assert run(["localize", str(f)]) == 0
+    assert json.loads(capsys.readouterr().out)["euler"] == 2
+    assert len(validate_calls) == 2
+
+
+def test_sweep_validates_once_per_checked_tuple(capsys, validate_calls):
+    code = run(["sweep", "--case", "F", "--a", "1..3", "--b", "1..2",
+                "--assert", "c1_cubed=-2", "--assert", "todd=0",
+                "--assert", "euler=4"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["checked"] == 6
+    assert len(validate_calls) == 6
