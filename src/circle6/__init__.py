@@ -36,6 +36,7 @@ from .core import (
     validate,
 )
 from .errors import (
+    BadArgument,
     BadDimensions,
     BadParams,
     BadWeights,

@@ -32,7 +32,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
-from .errors import InvalidData, ParseError, ValidationError
+from .errors import BadArgument, InvalidData, ParseError, ValidationError
 
 # Exact rational scalar used everywhere a localization sum can be fractional.
 RationalScalar = Fraction
@@ -121,7 +121,7 @@ def disjoint_union(d1: FixedPointData, d2: FixedPointData) -> FixedPointData:
     the union means (e.g. the fiber connect sum) attach their own.
     """
     if d1.n != d2.n:
-        raise ValueError(f"cannot union datasets with n={d1.n} and n={d2.n}")
+        raise BadArgument(f"cannot union datasets with n={d1.n} and n={d2.n}")
     pts = tuple(FixedPoint(_UNION_PREFIXES[0] + p.name, p.weights) for p in d1.points)
     pts += tuple(FixedPoint(_UNION_PREFIXES[1] + p.name, p.weights) for p in d2.points)
     return FixedPointData(d1.n, pts)

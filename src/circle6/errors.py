@@ -7,6 +7,11 @@ class ToolkitError(Exception):
     """Base class for all errors raised by circle6."""
 
 
+class BadArgument(ToolkitError, ValueError):
+    """An argument lies outside the domain of the function it was passed
+    to; also a ValueError, the type Python callers expect for that."""
+
+
 class ParseError(ToolkitError):
     """Input is not valid JSON, or does not follow the dataset schema."""
 

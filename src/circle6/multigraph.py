@@ -14,8 +14,15 @@ points by negative points) in lexicographic order. The graphs form the
 product of the per-magnitude choices, magnitudes ascending and the
 largest varying fastest; the walk over that product shares the edges and
 the component labelling of each prefix of choices among all the graphs
-below it. Both walks keep their own stack, so data with thousands of
-points or magnitudes cannot exhaust the interpreter's recursion limit.
+below it.
+
+Over-cap magnitudes are refused by counting. When a magnitude's k
+positive occurrences have more than cap + 1 orders (k!), its tables are
+counted first, memoized and only up to cap + 2; a magnitude with more
+than cap + 1 tables, or one that would carry the product past the cap,
+is refused before any table is enumerated. All three walks keep their
+own stack, so data with thousands of points or magnitudes cannot exhaust
+the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from itertools import accumulate
 from math import factorial, gcd, prod
 
 from .core import FixedPointData, _require_valid
-from .errors import BadWeights, CapExceeded, UnpairableWeights
+from .errors import BadArgument, BadWeights, CapExceeded, UnpairableWeights
 
 #: Abort threshold for pairing enumeration (verdicts must be exact, so the
 #: enumerator refuses to sample when there are too many matchings).
@@ -205,6 +212,73 @@ def _distinct_pairings(pos: dict[str, int], neg: dict[str, int], cap: int) -> li
             return list(out)
 
 
+def _table_count(rows: list[int], cols: list[int], limit: int) -> int:
+    """Number of tables of nonnegative integers with these row and column
+    sums (equal totals), or `limit` once there are that many.
+
+    A depth-first walk over the rows on an explicit stack. A frame holds a
+    row, the column sums left before it (sorted, zeros dropped), the fills
+    of the row still to try and the tables counted below it so far; a
+    finished frame is memoized on (row, column sums left). Every fill
+    leaves margins with at least one table, so no frame counts more than
+    the total, and the walk stops as soon as one frame has counted `limit`.
+    """
+    last = len(rows) - 1
+    memo: dict[tuple, int] = {}
+    start = tuple(sorted(c for c in cols if c))
+    if last < 1 or len(start) < 2:     # one way: the rows take what is left
+        return min(1, limit)
+    stack = [[0, start, _fills(rows[0], start), 0]]
+    while True:
+        frame = stack[-1]
+        i = frame[0] + 1
+        for left in frame[2]:
+            if i == last or len(left) < 2:
+                frame[3] += 1
+            else:
+                count = memo.get((i, left))
+                if count is None:
+                    stack.append([i, left, _fills(rows[i], left), 0])
+                    break
+                frame[3] += count
+            if frame[3] >= limit:
+                return limit
+        else:
+            stack.pop()
+            count = memo[frame[0], frame[1]] = frame[3]
+            if not stack:
+                return count
+            stack[-1][3] += count
+            if stack[-1][3] >= limit:
+                return limit
+
+
+def _fills(take: int, cols: tuple[int, ...]):
+    """The column sums left (sorted, zeros dropped) after each way of
+    taking `take` units from columns with sums `cols`, one way at a time:
+    the columns fill left to right as full as they can, and the next way
+    moves one unit from the rightmost column that can give one to the
+    columns on its right."""
+    n = len(cols)
+    room = [*accumulate(cols[::-1])][::-1] + [0]    # room[j] = sum(cols[j:])
+    got = [0] * n
+    j, left = 0, take
+    while True:
+        for k in range(j, n):
+            got[k] = t = cols[k] if cols[k] < left else left
+            left -= t
+        yield tuple(sorted(c - g for c, g in zip(cols, got) if c != g))
+        for j in range(n - 2, -1, -1):
+            left += got[j + 1]
+            if got[j] and left < room[j + 1]:
+                got[j] -= 1
+                left += 1
+                j += 1
+                break
+        else:
+            return
+
+
 def build_multigraphs(data: FixedPointData, cap: int = DEFAULT_MATCHING_CAP) -> list[Multigraph]:
     """One Multigraph per distinct perfect pairing of opposite weights.
 
@@ -233,6 +307,17 @@ def build_multigraphs(data: FixedPointData, cap: int = DEFAULT_MATCHING_CAP) -> 
     levels: list[list[tuple[tuple, tuple]]] = []
     total = 1
     for m in sorted(pos):
+        # count first where enumeration could pass cap + 1 tables, unless
+        # a point carries both +m and -m (tables may merge, so the count
+        # is only a bound). At exactly cap + 1 tables the enumeration still
+        # runs: whether it refuses per magnitude or overall depends on the
+        # shape of the last table
+        if factorial(sum(pos[m].values())) > cap + 1 and not pos[m].keys() & neg[m].keys():
+            count = _table_count(list(pos[m].values()), list(neg[m].values()), cap + 2)
+            if count > cap + 1:
+                raise CapExceeded(f"more than {cap} pairings for one weight magnitude")
+            if count <= cap and total * count > cap:
+                raise CapExceeded(f"more than {cap} distinct pairings overall")
         choices = _distinct_pairings(pos[m], neg[m], cap)
         total *= len(choices)
         if total > cap:
@@ -343,7 +428,7 @@ def raw_pairing_count(data: FixedPointData) -> int:
 def connectivity_verdict(graphs: list[Multigraph]) -> ConnectivityVerdict:
     """Summarize connectivity over every pairing (the list must be nonempty)."""
     if not graphs:
-        raise ValueError("connectivity_verdict needs at least one graph")
+        raise BadArgument("connectivity_verdict needs at least one graph")
     flags = {g.is_connected for g in graphs}
     if flags == {True}:
         return ConnectivityVerdict.ALWAYS_CONNECTED

@@ -33,13 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from math import inf
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .core import (FixedPoint, FixedPointData, HomologyProfile, SPHERE_PROFILE,
                    Violation, _require_valid, disjoint_union)
 from .classifier import recognize_diffeotype
-from .errors import (BadDimensions, InvalidData, MissingProfile, NotAdmissible,
-                     NotSimplyConnected, WrongDimension)
+from .errors import (BadArgument, BadDimensions, InvalidData, MissingProfile,
+                     NotAdmissible, NotSimplyConnected, WrongDimension)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,7 +68,7 @@ _SO_MOD_U = (
 def stable_pi_so_mod_u(q: int) -> HomotopyGroup:
     """Stable pi_q(SO(2n)/U(n)); independent of n for q < 2n - 1."""
     if q < 0:
-        raise ValueError(f"homotopy degree must be nonnegative, got {q}")
+        raise BadArgument(f"homotopy degree must be nonnegative, got {q}")
     return _SO_MOD_U[q % 8]
 
 
@@ -130,7 +131,7 @@ def psi_flip(normal_class: Z2Class) -> Z2Class:
     versa, so the translation is the swap 0 <-> 1 (an involution).
     """
     if normal_class not in (0, 1):
-        raise ValueError(f"a Z/2 framing class must be 0 or 1, got {normal_class!r}")
+        raise BadArgument(f"a Z/2 framing class must be 0 or 1, got {normal_class!r}")
     return 1 - normal_class
 
 
@@ -146,7 +147,7 @@ def equivariant_normal_framing_class(a: int, b: int) -> Z2Class:
     computed, never configured.)
     """
     if a < 1 or b < 1:
-        raise ValueError(f"sphere action weights must be positive, got ({a}, {b})")
+        raise BadArgument(f"sphere action weights must be positive, got ({a}, {b})")
     return psi_flip(rotation_loop_class((-a, b, a + b)))
 
 
@@ -159,7 +160,7 @@ def standard_sphere(a: int, b: int, names: tuple[str, str] = ("p1", "p2")) -> Fi
     6-sphere: two fixed points with opposite weight multisets {a, b, -a-b}
     and {-a, -b, a+b}, with the sphere's homology profile attached."""
     if a < 1 or b < 1:
-        raise ValueError(f"sphere action weights must be positive, got ({a}, {b})")
+        raise BadArgument(f"sphere action weights must be positive, got ({a}, {b})")
     pts = (FixedPoint(names[0], (a, b, -a - b)),
            FixedPoint(names[1], (-a, -b, a + b)))
     return FixedPointData(3, pts, homology=SPHERE_PROFILE)
@@ -243,7 +244,9 @@ def kustarev_sum(
             f"2n - k = {2 * d1.n - 1} is not 2, 4, 5, 6 mod 8; no invariant "
             f"almost complex structure on the glue region")
     for d, h in ((d1, h1), (d2, h2)):
-        _require_valid(FixedPointData(d.n, d.points, h))
+        # validate reads no labels, so a summand with its own profile is
+        # checked as it is
+        _require_valid(d if h is d.homology else FixedPointData(d.n, d.points, h))
         if not d.points:
             raise InvalidData([Violation(
                 "EmptyFixedPointSet", None,
@@ -347,10 +350,12 @@ def verify_framing_reversal_identity(
     collar map simply comes back with passed=False and the deviation it
     produced. Same seed, same verdict.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not 0 < tolerance < inf:     # a NaN or infinite tolerance decides nothing
+        raise BadArgument(f"tolerance must be positive and finite, got {tolerance}")
     if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
+        raise BadArgument(f"need at least one sample, got {samples}")
+    if seed < 0:
+        raise BadArgument(f"seed must be nonnegative, got {seed}")
     h = collar_map if collar_map is not None else _twist
     h_inv = collar_map_inverse if collar_map_inverse is not None else _twist_inverse
     radial = alpha if alpha is not None else (lambda r: 1.0 / r)

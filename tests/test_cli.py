@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
 
-from circle6 import load
+from circle6 import kustarev_sum, load, save, standard_sphere
 from circle6.cli import run
 
 
@@ -321,3 +322,71 @@ def test_sweep_asserts_on_validated_data_only(capsys):
     [failure] = payload["failures"]
     assert failure["params"] == [0]
     assert failure["actual"].startswith("InvalidData: ZeroWeight")
+
+
+def test_graph_refuses_a_sphere_chain_with_the_same_bytes(tmp_path, capsys):
+    # 7 summed copies of standard_sphere(1, 1): refused by counting the
+    # magnitude-1 tables, with the message the enumeration gave
+    data = standard_sphere(1, 1)
+    for _ in range(6):
+        data = kustarev_sum(data, None, standard_sphere(1, 1), None).data
+    f = tmp_path / "chain.json"
+    save(data, f)
+    assert run(["graph", str(f)]) == 1
+    assert capsys.readouterr().out == (
+        "{\n"
+        '  "error": "CapExceeded",\n'
+        '  "message": "more than 10000 pairings for one weight magnitude"\n'
+        "}\n"
+    )
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+# numeric arguments at zero, negative and out-of-range values; "{file}" is
+# a sphere dataset
+_EDGE_ARGUMENTS = [
+    ["framing", "0", "1"], ["framing", "1", "0"], ["framing", "0", "0"],
+    ["framing", "-1", "-1"], ["framing", "10000000000000000000000", "3"],
+    ["verify-gluing", "--samples", "0"], ["verify-gluing", "--samples", "-5"],
+    ["verify-gluing", "--tol", "0"], ["verify-gluing", "--tol", "-1"],
+    ["verify-gluing", "--tol", "nan"], ["verify-gluing", "--tol", "inf"],
+    ["verify-gluing", "--tol=-inf"], ["verify-gluing", "--samples", "1", "--seed", "-1"],
+    ["admissible", "0", "0"], ["admissible", "-1", "1"], ["admissible", "3", "0"],
+    ["admissible", "3", "6"], ["admissible", "3", "-1"],
+    ["admissible", "100000000000000000000", "1"],
+    ["generate", "A", "0", "0", "0"], ["generate", "A", "-1", "2", "3"],
+    ["generate", "A", "1"], ["generate", "C", "0"], ["generate", "C", "-1000000"],
+    ["generate", "D", "0", "0", "0", "0"], ["generate", "F", "0", "0"],
+    ["generate", "E", "-3", "-3"], ["generate", "B", "1", "2", "3", "4", "5"],
+    ["graph", "{file}", "--cap", "0"], ["graph", "{file}", "--cap", "-1"],
+    ["graph", "{file}", "--cap", "-100000000000000000000"],
+    ["graph", "{file}", "--seed", "-1"],
+    ["sweep", "--case", "A", "--a=0", "--b=-1..1", "--c=-3..-1"],
+    ["sweep", "--case", "A", "--a=3..1", "--b=1", "--c=2"],
+    ["sweep", "--case", "C", "--a=-2..2", "--assert", "euler=4"],
+    ["sweep", "--case", "D", "--a=-1..0", "--b=0", "--c=0", "--d=-2..0",
+     "--max-failures=-1", "--assert", "todd=1"],
+    ["sweep", "--case", "E", "--a=-2..2", "--b=-2..2", "--max-failures", "0",
+     "--assert", "euler=5"],
+    ["sweep", "--case", "F", "--a=-2..2", "--b=-2..2", "--max-failures=-3",
+     "--assert", "c1c2=24"],
+]
+
+
+@pytest.mark.parametrize("argv", _EDGE_ARGUMENTS, ids=" ".join)
+def test_numeric_edge_arguments_give_an_exit_code_and_json(argv, tmp_path, capsys):
+    f = _write_sphere(tmp_path / "s6.json")
+    code = run([arg.replace("{file}", str(f)) for arg in argv])
+    assert isinstance(code, int) and code in (0, 1, 2)
+    out = capsys.readouterr().out
+    if code == 2:
+        assert out == ""            # usage errors go to stderr
+    else:
+        payload = _strict_json(out)
+        if code == 1 and "error" in payload:
+            assert set(payload) == {"error", "message"}

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 import re
+import sys
+from functools import cache
 from itertools import permutations, product
 
 import pytest
@@ -29,6 +31,8 @@ from circle6 import (
     standard_sphere,
     kustarev_sum,
 )
+from circle6 import multigraph
+from circle6.multigraph import _distinct_pairings, _table_count
 from conftest import random_symmetric_dataset, sphere_data
 
 
@@ -330,6 +334,135 @@ def test_components_agree_with_networkx():
             multi.add_edges_from((u, v) for u, v, _ in g.edges)
             assert g.components == tuple(sorted(
                 tuple(sorted(c)) for c in nx.connected_components(multi)))
+
+
+# ---- counting tables before enumerating them ------------------------------
+
+def test_table_count_matches_the_enumerator_on_small_margins():
+    # every pair of occurrence counts with up to 4 points a side, counts
+    # 1..3 and equal totals
+    checked = 0
+    for r, c in product(range(1, 5), repeat=2):
+        for rows in product(range(1, 4), repeat=r):
+            for cols in product(range(1, 4), repeat=c):
+                if sum(rows) != sum(cols):
+                    continue
+                pos = {f"a{i}": count for i, count in enumerate(rows)}
+                neg = {f"b{j}": count for j, count in enumerate(cols)}
+                tables = len(_distinct_pairings(pos, neg, cap=10**9))
+                assert _table_count(list(rows), list(cols), 10**9) == tables, (rows, cols)
+                checked += 1
+    assert checked == 1912
+
+
+def _cellwise_count(rows, cols):
+    """Tables counted one cell at a time, row-major: a second decomposition
+    of the same number."""
+    @cache
+    def count(i, j, left, rem):
+        if j == len(cols):
+            if left:
+                return 0
+            return 1 if i + 1 == len(rows) else count(i + 1, 0, rows[i + 1], rem)
+        return sum(count(i, j + 1, left - t, rem[:j] + (rem[j] - t,) + rem[j + 1:])
+                   for t in range(min(left, rem[j]) + 1))
+    return count(0, 0, rows[0], tuple(cols))
+
+
+@st.composite
+def _margin_pairs(draw):
+    rows = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    total = sum(rows)
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1), max_size=5))) if total > 1 else []
+    bounds = [0, *cuts, total]
+    return rows, [b - a for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(margins=_margin_pairs(), data=st.data())
+def test_table_count_is_exact_below_the_limit_and_saturates_at_it(margins, data):
+    rows, cols = margins
+    exact = _cellwise_count(rows, cols)
+    assert _table_count(rows, cols, 10**12) == exact
+    limit = data.draw(st.integers(1, exact + 2))
+    assert _table_count(rows, cols, limit) == min(exact, limit)
+
+
+def test_table_count_walks_600_rows_without_recursion():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        # one row of 600 takes the single 1: exactly 600 tables, 599 rows deep
+        assert _table_count([1] * 600, [599, 1], 10**9) == 600
+        # the magnitude-1 table of 600 summed standard_sphere(1, 1)
+        assert _table_count([2] * 600, [2] * 600, 10_002) == 10_002
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def _sphere_chain(length):
+    data = standard_sphere(1, 1)
+    for _ in range(length - 1):
+        data = kustarev_sum(data, None, standard_sphere(1, 1), None).data
+    return data
+
+
+def _recording_enumerator(monkeypatch):
+    """Monkeypatch `_distinct_pairings` to record the positive occurrence
+    counts of every magnitude it enumerates."""
+    calls = []
+    original = multigraph._distinct_pairings
+
+    def recording(pos, neg, cap):
+        calls.append(sorted(pos.values()))
+        return original(pos, neg, cap)
+
+    monkeypatch.setattr(multigraph, "_distinct_pairings", recording)
+    return calls
+
+
+@pytest.mark.parametrize("length", [6, 7])
+def test_sphere_chain_is_refused_by_counting_not_enumerating(length, monkeypatch):
+    # magnitude 1 (two +1 at each of `length` points) has more than 10 001
+    # tables and comes first, so nothing is enumerated
+    calls = _recording_enumerator(monkeypatch)
+    with pytest.raises(CapExceeded) as exc:
+        build_multigraphs(_sphere_chain(length))
+    assert str(exc.value) == "more than 10000 pairings for one weight magnitude"
+    assert calls == []
+
+
+# data, the occurrence counts of its counted magnitude (the same on both
+# sides) and its number of tables: 3 points of (1, 1, 1) against 3 of
+# (-1, -1, -1) have 55, 2 against 2 have 4; (1, 2, 2) twice against
+# (-1, -2, -2) twice have 2 pairings of magnitude 1, then 3 of magnitude 2,
+# the one counted
+_COUNTED = [
+    (dataset(3, [(f"a{i}", (1, 1, 1)) for i in range(3)]
+             + [(f"b{i}", (-1, -1, -1)) for i in range(3)]), [3, 3, 3], 55),
+    (dataset(3, [(f"a{i}", (1, 1, 1)) for i in range(2)]
+             + [(f"b{i}", (-1, -1, -1)) for i in range(2)]), [3, 3], 4),
+    (dataset(3, [("x", (1, 2, 2)), ("z", (1, 2, 2)), ("y", (-1, -2, -2)),
+                 ("w", (-1, -2, -2))]), [2, 2], 3),
+]
+
+
+@pytest.mark.parametrize("data, rows, tables", _COUNTED)
+def test_refusals_at_the_counted_boundary_match_the_occurrence_enumerator(
+        data, rows, tables, monkeypatch):
+    assert _table_count(rows, rows, 10**9) == tables
+    want = _occurrence_graphs(data, 100_000)
+    calls = _recording_enumerator(monkeypatch)
+    for cap in range(max(tables - 2, 0), len(want) + 2):
+        calls.clear()
+        outcome = _outcome(build_multigraphs, data, cap)
+        assert outcome == _outcome(_occurrence_graphs, data, cap)
+        # a refusal enumerates the counted magnitude only at cap + 1 tables
+        if isinstance(outcome, str) and tables != cap + 1:
+            assert rows not in calls
 
 
 # ---- linear model and the obstruction -------------------------------------
