@@ -14,7 +14,7 @@ Capabilities, one module each:
 * :mod:`circle6.surgery` -- fiber connect sum bookkeeping: the mod-8
   admissibility/uniqueness gate, framing parity calculus, homology
   composition, and the numeric collar gluing check;
-* :mod:`circle6.cli` -- the `circle6` command.
+* :mod:`circle6.cli` -- the `circle6` command (also `python -m circle6`).
 """
 
 from .core import (

@@ -5,11 +5,16 @@ admissible, framing, verify-gluing, sweep. Reports are JSON on stdout
 (redirected to --out when given) with sorted keys and exact rationals as
 "p/q" strings, so output is byte-stable for identical inputs and seeds.
 Exit codes: 0 success, 1 validation/assertion failure, 2 usage error.
+
+`run` parses with one parser per process, built by `build_parser()` the
+first time `run` needs it (not at import) and reused by every later call;
+each call gets a fresh namespace, so nothing carries over between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -146,6 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `run` uses: built once, on first use rather than at import."""
+    return build_parser()
+
+
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
@@ -206,6 +217,7 @@ def _cmd_classify(args):
 
 def _cmd_generate(args):
     data = gen_family(JangCase(args.case, tuple(args.params)))
+    core._require_valid(data)   # case C with a = 0 carries zero weights
     return 0, core.document(data)
 
 
@@ -350,9 +362,8 @@ _HANDLERS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:   # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

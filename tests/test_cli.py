@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from circle6 import kustarev_sum, load, save, standard_sphere
+from circle6 import cli, kustarev_sum, load, save, standard_sphere
 from circle6.cli import run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _write_sphere(path, a=1, b=2, homology=True):
@@ -390,3 +396,111 @@ def test_numeric_edge_arguments_give_an_exit_code_and_json(argv, tmp_path, capsy
         payload = _strict_json(out)
         if code == 1 and "error" in payload:
             assert set(payload) == {"error", "message"}
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def _outcome(capsys, argv):
+    code = run(argv)
+    return code, capsys.readouterr().out
+
+
+# call sequences that could leak state from one parse into the next, with
+# their exit codes; "{file}" is a sum of two standard spheres with 8 pairings
+_REUSE_SEQUENCES = {
+    "sweep assertions": [
+        (["sweep", "--case", "F", "--a", "1..3", "--b", "1..3",
+          "--assert", "c1_cubed=-2", "--assert", "todd=0"], 0),
+        (["sweep", "--case", "F", "--a", "1..3", "--b", "1..3"], 0),
+    ],
+    "usage error, help, valid": [
+        (["admissible", "3", "--bogus"], 2),
+        (["--help"], 0),
+        (["admissible", "3", "1"], 0),
+    ],
+    "graph cap": [
+        (["graph", "{file}", "--cap", "1"], 1),
+        (["graph", "{file}"], 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("sequence", _REUSE_SEQUENCES.values(), ids=_REUSE_SEQUENCES)
+def test_a_reused_parser_carries_no_state_between_calls(sequence, tmp_path, capsys):
+    f = tmp_path / "sum.json"
+    save(kustarev_sum(standard_sphere(1, 2), None, standard_sphere(1, 2), None).data, f)
+    argvs = [[arg.replace("{file}", str(f)) for arg in argv] for argv, _ in sequence]
+    cli._parser.cache_clear()
+    in_sequence = [_outcome(capsys, argv) for argv in argvs]
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _ in in_sequence] == [code for _, code in sequence]
+    for argv, outcome in zip(argvs, in_sequence):
+        cli._parser.cache_clear()   # as if argv were the process's first call
+        assert outcome == _outcome(capsys, argv), argv
+
+
+def test_sweep_without_assert_after_one_with_it(capsys):
+    [(with_assert, _), (without, _)] = _REUSE_SEQUENCES["sweep assertions"]
+    _outcome(capsys, with_assert)
+    code, payload = _run_json(capsys, without)
+    assert code == 0 and payload["assertions"] == []
+
+
+def test_run_builds_the_parser_once(monkeypatch, tmp_path, capsys):
+    f = _write_sphere(tmp_path / "s6.json")
+    builds = []
+    original = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    argvs = [
+        ["validate", str(f)], ["localize", str(f)], ["localize", str(f), "--raw"],
+        ["classify", str(f)], ["generate", "F", "1", "1"], ["generate", "C", "0"],
+        ["graph", str(f)], ["graph", str(f), "--cap", "0"], ["sum", str(f), str(f)],
+        ["admissible", "3", "1"], ["admissible", "x", "1"], ["framing", "2", "5"],
+        ["framing", "0", "1"], ["verify-gluing", "--samples", "10"],
+        ["sweep", "--case", "B", "--a", "1..2", "--b", "1..2", "--assert", "todd=1"],
+        ["sweep", "--case", "B", "--a", "1..2"], ["validate", str(f), "--bogus"],
+        [], ["--help"], ["validate", str(f), "--quiet"],
+    ]
+    codes = [run(argv) for argv in argvs]
+    capsys.readouterr()
+    assert len(argvs) == 20 and set(codes) == {0, 1, 2}
+    assert len(builds) == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import circle6.cli as cli; print(cli._parser.cache_info().currsize)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+@pytest.mark.parametrize("argv", [["admissible", "3", "1"], ["generate", "F", "1", "1"]],
+                         ids=" ".join)
+def test_python_dash_m_prints_what_run_prints(argv, capsys):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "circle6", *argv], env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert run(argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+
+
+def test_generate_refuses_a_dataset_that_validation_refuses(capsys):
+    code, payload = _run_json(capsys, ["generate", "C", "0"])
+    assert code == 1
+    assert payload == {
+        "error": "InvalidData",
+        "message": "ZeroWeight at p2: weights must be nonzero; "
+                   "ZeroWeight at p3: weights must be nonzero",
+    }
