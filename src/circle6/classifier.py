@@ -113,15 +113,6 @@ _CONSTRAINTS: Mapping[CaseTag, Callable[[tuple[int, ...]], bool]] = {
 # prefilter rests on it.
 _POSITIVE_PARAMS = frozenset(CaseTag) - {CaseTag.C_Fano}
 
-# Number of all-positive weight vectors each family forces (its Todd genus):
-# one for the cases with Td = 1, none for the cases with Td = 0. Used to
-# prune whole cases before any linear algebra.
-_EXPECTED_N0: Mapping[CaseTag, int] = {
-    CaseTag.A_CP3: 1, CaseTag.B_Q3: 1, CaseTag.C_Fano: 1,
-    CaseTag.D_S6_union: 0, CaseTag.E_BlP_S6: 0, CaseTag.F_BlC_S6: 0,
-}
-
-
 def param_names(tag: CaseTag | str) -> tuple[str, ...]:
     """The parameter names a case expects, in order."""
     return _FAMILIES[_coerce_tag(tag)][0]
@@ -222,12 +213,16 @@ class _Pin:
 @dataclass(frozen=True)
 class _Plan:
     """How to recover a case's parameters: params = inverse . (values -
-    consts) / den, values being the pinned entries in pin order."""
+    consts) / den, values being the pinned entries in pin order. n0 is the
+    number of slots whose entries are all forced positive; every other
+    slot has a forced-negative entry, so it is the number of all-positive
+    points of every member (its Todd genus)."""
 
     pins: tuple[_Pin, ...]
     consts: tuple[int, ...]
     inverse: tuple[tuple[int, ...], ...]
     den: int
+    n0: int
 
 
 def _plan(tag: CaseTag) -> _Plan:
@@ -239,14 +234,15 @@ def _plan(tag: CaseTag) -> _Plan:
     entries = [(s, e) for s in range(4) for e in range(3)]
     picked, inverse, den = _greedy_inverse([forms[s][e][0] for s, e in entries], k)
     solved = [entries[i] for i in picked]
+    signs = [tuple(_forced_sign(c, const, positive) for c, const in forms[s]) for s in range(4)]
     pins = []
     for s in sorted({s for s, _ in solved}):
         coeff_sum = [sum(col) for col in zip(*(c for c, _ in forms[s]))]
         pins.append(_Pin(
-            s, tuple(e for t, e in solved if t == s),
-            tuple(_forced_sign(c, const, positive) for c, const in forms[s]),
+            s, tuple(e for t, e in solved if t == s), signs[s],
             None if any(coeff_sum) else sum(const for _, const in forms[s])))
-    return _Plan(tuple(pins), tuple(forms[s][e][1] for s, e in solved), inverse, den)
+    return _Plan(tuple(pins), tuple(forms[s][e][1] for s, e in solved), inverse, den,
+                 sum(min(sg) > 0 for sg in signs))
 
 
 _PLANS = {tag: _plan(tag) for tag in CaseTag}
@@ -356,7 +352,7 @@ def classify(data: FixedPointData) -> ClassificationResult:
         pts = rows if not rev else tuple(tuple(-w for w in ws) for ws in rows)
         target = _canonical(pts)
         n0 = sum(1 for ws in pts if all(w > 0 for w in ws))
-        tags = [tag for tag in CaseTag if _EXPECTED_N0[tag] == n0]
+        tags = [tag for tag in CaseTag if _PLANS[tag].n0 == n0]
         if not tags:
             continue
         orders = _orders_by_sign(pts)

@@ -224,13 +224,13 @@ def _cmd_generate(args):
 def _cmd_graph(args):
     data = core.load(args.file)
     graphs = build_multigraphs(data, cap=args.cap)
-    verdict = connectivity_verdict(graphs) if graphs else None
+    verdict = connectivity_verdict(graphs)
     if args.dot:
         dot = "".join(g.to_dot(name=f"g{i}") for i, g in enumerate(graphs))
         Path(args.dot).write_text(dot, encoding="utf-8")
     return 0, {
         "count": len(graphs),
-        "verdict": verdict.value if verdict else None,
+        "verdict": verdict.value,
         "graphs": [
             {
                 "vertices": list(g.vertices),

@@ -16,13 +16,16 @@ largest varying fastest; the walk over that product shares the edges and
 the component labelling of each prefix of choices among all the graphs
 below it.
 
-Over-cap magnitudes are refused by counting. When a magnitude's k
-positive occurrences have more than cap + 1 orders (k!), its tables are
-counted first, memoized and only up to cap + 2; a magnitude with more
-than cap + 1 tables, or one that would carry the product past the cap,
-is refused before any table is enumerated. All three walks keep their
-own stack, so data with thousands of points or magnitudes cannot exhaust
-the interpreter's recursion limit.
+Refusal comes first. In ascending order, each magnitude's number of
+distinct pairings is found: its tables are counted (memoized, and only up
+to cap + 1) when its k positive occurrences have more than cap + 1 orders
+(k!) and no point carries both +m and -m, and enumerated otherwise. A
+magnitude with more than cap pairings is refused for itself; once the
+running product passes the cap, the data is refused overall. Only then
+are the counted magnitudes enumerated. One row-fill generator serves
+both the count and the enumeration, and every walk keeps its own stack,
+so data with thousands of points or magnitudes cannot exhaust the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from math import factorial, gcd, prod
+from operator import mul, sub
 
 from .core import FixedPointData, _require_valid
 from .errors import BadArgument, BadWeights, CapExceeded, UnpairableWeights
@@ -121,7 +125,7 @@ def make_graph(vertices, edges) -> Multigraph:
 
 def _distinct_pairings(pos: dict[str, int], neg: dict[str, int], cap: int) -> list[tuple]:
     """Distinct ways to pair each positive occurrence with a negative one,
-    given the occurrence counts at each point.
+    given the occurrence counts at each point; at most cap + 1 of them.
 
     Returns canonical edge multisets (sorted tuples of vertex pairs) in
     lexicographic order of point-level contingency tables: rows are the
@@ -133,83 +137,38 @@ def _distinct_pairings(pos: dict[str, int], neg: dict[str, int], cap: int) -> li
     (p, q) and (q, p) are one edge), so the dedup by key merges only
     those.
 
-    The walk is a depth-first search on an explicit stack of the nonzero
-    cells: a row fills the columns left to right, each as full as it can,
-    skipping exhausted columns, and the last row takes what is left. A
-    cell can give one occurrence back to the columns on its right while
-    its row still fits there.
+    A depth-first search over the rows on an explicit stack of `_fills`
+    generators; the last row takes what is left. The walk stops once it
+    holds more than `cap` keys, which is all a caller needs to refuse.
     """
     rows = sorted(pos.items())
     cols = sorted(neg)
-    rem = list(map(neg.__getitem__, cols))
-    open_cols = bytearray([1]) * len(cols)      # 1 where rem > 0
-    # occurrences still unpaired when each row starts
-    unpaired = list(accumulate(count for _, count in reversed(rows)))[::-1]
+    # each cell's pair as a 1-tuple, so that cell * units repeats it
+    cells = [[((p, q) if p <= q else (q, p),) for q in cols] for p, _ in rows]
     last = len(rows) - 1
-    # one canonical pair per cell, shared by every key that holds it
-    pairs: dict[tuple[int, int], tuple[str, str]] = {}
-
-    def pair_at(i: int, j: int) -> tuple[str, str]:
-        pair = pairs.get((i, j))
-        if pair is None:
-            p, q = rows[i][0], cols[j]
-            pair = pairs[i, j] = (p, q) if p <= q else (q, p)
-        return pair
-
-    # one entry per nonzero cell: row, column, pair, count taken, least
-    # count, row quota before the cell, row-start capacity right of it
-    stack: list[tuple] = []
-    acc: list[tuple[str, str]] = []
     out: dict[tuple, None] = {}
-    i, j, left, room = 0, -1, rows[0][1], unpaired[0]
-    while True:
-        while i < last:         # descend, each cell as full as it can be
-            if not left:
-                i += 1
-                j, left, room = -1, rows[i][1], unpaired[i]
-                continue
-            j = open_cols.find(1, j + 1)
-            pair = pair_at(i, j)
-            have = rem[j]
-            room -= have
-            take = have if have < left else left
-            stack.append((i, j, pair, take, left - room, left, room))
-            rem[j] = have - take
-            if take == have:
-                open_cols[j] = 0
-            left -= take
-            acc += [pair] * take
-        if len(out) > cap:
-            raise CapExceeded(f"more than {cap} pairings for one weight magnitude")
-        edges = acc[:]
-        c = open_cols.find(1)
-        while c >= 0:
-            edges += [pair_at(last, c)] * rem[c]
-            c = open_cols.find(1, c + 1)
-        key = tuple(sorted(edges))
-        if key not in out:
-            out[key] = None
-            # past the cap, refuse here when occurrence order has another
-            # pairing to come: a later table (caught above) or a reordering
-            # of a row with two partners; the last table with one partner
-            # per row is left to build_multigraphs' overall count
-            if len(out) > cap and len(stack) + open_cols.count(1) > len(rows):
-                raise CapExceeded(f"more than {cap} pairings for one weight magnitude")
-        while stack:            # backtrack to the deepest cell that can shrink
-            i, j, pair, take, least, left, room = stack.pop()
-            rem[j] += take
-            open_cols[j] = 1
-            del acc[-take:]
-            if take > least:
-                take -= 1
-                if take:
-                    stack.append((i, j, pair, take, least, left, room))
-                    rem[j] -= take
-                    acc += [pair] * take
-                left -= take
-                break
+    # per row being filled: its fills, the column sums left before it and
+    # the pairs of the rows above it
+    rem = tuple(neg[q] for q in cols)
+    stack = [(_fills(rows[0][1], rem), rem, ())]
+    while stack:
+        fills, above, acc = stack[-1]
+        got = next(fills, None)
+        if got is None:
+            stack.pop()
+            continue
+        i = len(stack)          # the next row
+        rem = tuple(map(sub, above, got))
+        # only the cells a row fills (no more than its occurrences) copy
+        # the pairs above it here; adding an empty tuple copies nothing
+        taken = sum(map(mul, cells[i - 1], got), acc)
+        if i < last:
+            stack.append((_fills(rows[i][1], rem), rem, taken))
         else:
-            return list(out)
+            out[tuple(sorted(sum(map(mul, cells[last], rem), taken)))] = None
+            if len(out) > cap:
+                break
+    return list(out)
 
 
 def _table_count(rows: list[int], cols: list[int], limit: int) -> int:
@@ -232,7 +191,8 @@ def _table_count(rows: list[int], cols: list[int], limit: int) -> int:
     while True:
         frame = stack[-1]
         i = frame[0] + 1
-        for left in frame[2]:
+        for got in frame[2]:
+            left = tuple(sorted(c - g for c, g in zip(frame[1], got) if c != g))
             if i == last or len(left) < 2:
                 frame[3] += 1
             else:
@@ -254,22 +214,24 @@ def _table_count(rows: list[int], cols: list[int], limit: int) -> int:
 
 
 def _fills(take: int, cols: tuple[int, ...]):
-    """The column sums left (sorted, zeros dropped) after each way of
-    taking `take` units from columns with sums `cols`, one way at a time:
-    the columns fill left to right as full as they can, and the next way
-    moves one unit from the rightmost column that can give one to the
-    columns on its right."""
+    """Each way of taking `take` units from columns with sums `cols`, as
+    the units taken per column, one way at a time: the columns fill left
+    to right as full as they can, and the next way moves one unit from the
+    rightmost column that can give one to the columns on its right."""
     n = len(cols)
     room = [*accumulate(cols[::-1])][::-1] + [0]    # room[j] = sum(cols[j:])
     got = [0] * n
     j, left = 0, take
     while True:
-        for k in range(j, n):
-            got[k] = t = cols[k] if cols[k] < left else left
+        while left:
+            got[j] = t = cols[j] if cols[j] < left else left
             left -= t
-        yield tuple(sorted(c - g for c, g in zip(cols, got) if c != g))
+            j += 1
+        yield tuple(got)
+        # find the column that gives, emptying the ones passed for the refill
         for j in range(n - 2, -1, -1):
             left += got[j + 1]
+            got[j + 1] = 0
             if got[j] and left < room[j + 1]:
                 got[j] -= 1
                 left += 1
@@ -301,36 +263,38 @@ def build_multigraphs(data: FixedPointData, cap: int = DEFAULT_MATCHING_CAP) -> 
         if plus != minus:
             raise UnpairableWeights(
                 f"weight magnitude {m}: {plus} positive vs {minus} negative occurrences")
+    # every magnitude's number of distinct pairings, before any counted one
+    # is enumerated: tables are counted where the k positive occurrences
+    # have more than cap + 1 orders and no point carries both +m and -m
+    # (then distinct tables are distinct pairings); the rest are enumerated
+    choices: dict[int, list[tuple]] = {}
+    total = 1
+    for m in sorted(pos):
+        if factorial(sum(pos[m].values())) > cap + 1 and not pos[m].keys() & neg[m].keys():
+            count = _table_count(list(pos[m].values()), list(neg[m].values()), cap + 1)
+        else:
+            choices[m] = _distinct_pairings(pos[m], neg[m], cap)
+            count = len(choices[m])
+        if count > cap:
+            raise CapExceeded(f"more than {cap} pairings for one weight magnitude")
+        total *= count
+        if total > cap:
+            break
+    if total > cap:     # also the empty pairing of a dataset with no weights
+        raise CapExceeded(f"more than {cap} distinct pairings overall")
     vertices = data.names()
     rank = {v: r for r, v in enumerate(sorted(vertices))}
     shared: list[tuple[str, str, int]] = []
     levels: list[list[tuple[tuple, tuple]]] = []
-    total = 1
     for m in sorted(pos):
-        # count first where enumeration could pass cap + 1 tables, unless
-        # a point carries both +m and -m (tables may merge, so the count
-        # is only a bound). At exactly cap + 1 tables the enumeration still
-        # runs: whether it refuses per magnitude or overall depends on the
-        # shape of the last table
-        if factorial(sum(pos[m].values())) > cap + 1 and not pos[m].keys() & neg[m].keys():
-            count = _table_count(list(pos[m].values()), list(neg[m].values()), cap + 2)
-            if count > cap + 1:
-                raise CapExceeded(f"more than {cap} pairings for one weight magnitude")
-            if count <= cap and total * count > cap:
-                raise CapExceeded(f"more than {cap} distinct pairings overall")
-        choices = _distinct_pairings(pos[m], neg[m], cap)
-        total *= len(choices)
-        if total > cap:
-            break
-        if len(choices) == 1:   # in every graph; no level of the product
-            shared.extend((u, v, m) for u, v in choices[0])
+        keys = choices[m] if m in choices else _distinct_pairings(pos[m], neg[m], cap)
+        if len(keys) == 1:      # in every graph; no level of the product
+            shared.extend((u, v, m) for u, v in keys[0])
             continue
         # each choice as its labelled edges and the vertex ranks it joins
         levels.append([(tuple((u, v, m) for u, v in key),
                         tuple(dict.fromkeys((rank[u], rank[v]) for u, v in key if u != v)))
-                       for key in choices])
-    if total > cap:
-        raise CapExceeded(f"more than {cap} distinct pairings overall")
+                       for key in keys])
     return _product_graphs(vertices, rank, shared, levels)
 
 
@@ -480,8 +444,4 @@ def exoticness_obstruction(sum_graphs: list[Multigraph]) -> bool:
     linear one. Only NeverConnected certifies this; DependsOnPairing means
     the weight data alone cannot exclude a connected isotropy structure.
     """
-    if connectivity_verdict(sum_graphs) is not ConnectivityVerdict.NEVER_CONNECTED:
-        return False
-    # smallest admissible linear model; its edge structure does not depend
-    # on the chosen weights
-    return linear_action_isotropy(2, 3, 5).is_connected
+    return connectivity_verdict(sum_graphs) is ConnectivityVerdict.NEVER_CONNECTED

@@ -206,8 +206,12 @@ def test_todd_genus_per_family():
     expected = {"A": 1, "B": 1, "C": 1, "D": 0, "E": 0, "F": 0}
     cases = [("A", (2, 3, 9)), ("B", (2, 3)), ("C", (5,)),
              ("D", (1, 2, 3, 4)), ("E", (2, 3)), ("F", (4, 1))]
+    from circle6.classifier import _PLANS
     for letter, params in cases:
-        assert todd_genus(gen_family(jang_case(letter, *params))) == expected[letter]
+        case = jang_case(letter, *params)
+        assert todd_genus(gen_family(case)) == expected[letter]
+        # the all-positive slot count derived from the forced signs
+        assert _PLANS[case.tag].n0 == expected[letter]
 
 
 def test_classify_input_gates():

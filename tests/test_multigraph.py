@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 import sys
+from collections import Counter
 from functools import cache
 from itertools import permutations, product
 
@@ -206,13 +207,11 @@ def test_sphere_union_components_for_disjoint_magnitudes():
 def _occurrence_pairings(pos, neg, cap):
     """Pair the first remaining positive occurrence with each distinct
     remaining partner in sorted order, recursively; dedup the edge
-    multisets in first-seen order. The cap trips on entering any node once
-    more than `cap` distinct multisets are known."""
+    multisets in first-seen order. The cap trips when the magnitude has
+    more than `cap` distinct multisets."""
     out = {}
 
     def rec(pos_left, neg_left, acc):
-        if len(out) > cap:
-            raise CapExceeded(f"more than {cap} pairings for one weight magnitude")
         if not pos_left:
             out.setdefault(tuple(sorted(acc)))
             return
@@ -225,6 +224,8 @@ def _occurrence_pairings(pos, neg, cap):
             acc.pop()
 
     rec(tuple(sorted(pos)), tuple(sorted(neg)), [])
+    if len(out) > cap:
+        raise CapExceeded(f"more than {cap} pairings for one weight magnitude")
     return list(out)
 
 
@@ -240,7 +241,8 @@ def _partition(vertices, edges):
 
 def _occurrence_graphs(data, cap):
     """The graphs of every combination of per-magnitude pairings, in
-    itertools.product order, each built from scratch."""
+    itertools.product order, each built from scratch. The cap trips
+    overall once the running product of the pairing counts passes it."""
     pos, neg = {}, {}
     for p in data.points:
         for w in p.weights:
@@ -253,6 +255,8 @@ def _occurrence_graphs(data, cap):
         if total > cap:
             raise CapExceeded(f"more than {cap} distinct pairings overall")
         per_magnitude.append([[(u, v, m) for u, v in key] for key in choices])
+    if total > cap:     # a dataset with no weights has the one empty pairing
+        raise CapExceeded(f"more than {cap} distinct pairings overall")
     graphs = []
     for combo in product(*per_magnitude):
         edges = tuple(sorted(e for part in combo for e in part))
@@ -460,9 +464,30 @@ def test_refusals_at_the_counted_boundary_match_the_occurrence_enumerator(
         calls.clear()
         outcome = _outcome(build_multigraphs, data, cap)
         assert outcome == _outcome(_occurrence_graphs, data, cap)
-        # a refusal enumerates the counted magnitude only at cap + 1 tables
-        if isinstance(outcome, str) and tables != cap + 1:
+        # a refusal never enumerates the counted magnitude
+        if isinstance(outcome, str):
             assert rows not in calls
+
+
+def test_a_counted_magnitude_is_not_enumerated_when_a_later_one_passes_the_cap(monkeypatch):
+    # magnitude 1 (9 positive occurrences) is counted and fits the cap;
+    # magnitude 2 (4 occurrences, too few to count) carries the product
+    # past it
+    data = standard_sphere(1, 1)
+    for a, b in [(1, 1)] * 3 + [(1, 3)]:
+        data = kustarev_sum(data, None, standard_sphere(a, b), None).data
+    rows = {}
+    for p in data.points:
+        for w in p.weights:
+            if w > 0:
+                rows.setdefault(w, Counter())[p.name] += 1
+    assert sorted(rows[1].values()) == [1, 2, 2, 2, 2]
+    assert _table_count(list(rows[1].values()), list(rows[1].values()), 10**9) <= 10_000
+    calls = _recording_enumerator(monkeypatch)
+    with pytest.raises(CapExceeded) as exc:
+        build_multigraphs(data)
+    assert str(exc.value) == "more than 10000 distinct pairings overall"
+    assert calls == [sorted(rows[2].values())]
 
 
 # ---- linear model and the obstruction -------------------------------------
