@@ -12,9 +12,11 @@ Occurrences at one point are interchangeable, so the pairings of one
 magnitude are enumerated as point-level contingency tables (positive
 points by negative points) in lexicographic order. The graphs form the
 product of the per-magnitude choices, magnitudes ascending and the
-largest varying fastest; the walk over that product shares the edges and
-the component labelling of each prefix of choices among all the graphs
-below it.
+largest varying fastest; the magnitudes paired one way make one leading
+level with one choice. One breadth-first fold over that product builds
+every graph, `make_graph`'s included: it keeps each prefix of choices
+once, as its edges and its component labelling, and one union-find pass
+extends a labelling by the edges of a choice.
 
 Refusal comes first. In ascending order, each magnitude's number of
 distinct pairings is found: its tables are counted (memoized, and only up
@@ -96,31 +98,14 @@ class ConnectivityVerdict(Enum):
     DEPENDS_ON_PAIRING = "DependsOnPairing"
 
 
-def _components(vertices: tuple[str, ...], edges) -> tuple[tuple[str, ...], ...]:
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, v, _ in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[str, list[str]] = {}
-    for v in vertices:
-        groups.setdefault(find(v), []).append(v)
-    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
-
-
 def make_graph(vertices, edges) -> Multigraph:
-    """Canonicalize raw (u, v, label) triples into a Multigraph."""
+    """Canonicalize raw (u, v, label) triples into a Multigraph; the
+    vertices must be distinct and every edge must join two of them."""
     verts = tuple(vertices)
-    canon = tuple(sorted((u, v, label) if u <= v else (v, u, label)
-                         for u, v, label in edges))
-    return Multigraph(verts, canon, _components(verts, canon))
+    canon = tuple((u, v, label) if u <= v else (v, u, label) for u, v, label in edges)
+    if len(set(verts)) < len(verts) or not {x for u, v, _ in canon for x in (u, v)} <= set(verts):
+        raise BadArgument("make_graph needs distinct vertices and edges between them")
+    return _graphs(verts, [[canon]])[0]
 
 
 def _distinct_pairings(pos: dict[str, int], neg: dict[str, int], cap: int) -> list[tuple]:
@@ -241,6 +226,18 @@ def _fills(take: int, cols: tuple[int, ...]):
             return
 
 
+def _occurrences(data: FixedPointData) -> tuple[dict, dict]:
+    """Occurrences of +m and of -m at each point, for every magnitude m,
+    as magnitude -> point name -> count."""
+    pos: dict[int, dict[str, int]] = {}
+    neg: dict[int, dict[str, int]] = {}
+    for p in data.points:
+        for w in p.weights:
+            at = (pos if w > 0 else neg).setdefault(abs(w), {})
+            at[p.name] = at.get(p.name, 0) + 1
+    return pos, neg
+
+
 def build_multigraphs(data: FixedPointData, cap: int = DEFAULT_MATCHING_CAP) -> list[Multigraph]:
     """One Multigraph per distinct perfect pairing of opposite weights.
 
@@ -248,16 +245,13 @@ def build_multigraphs(data: FixedPointData, cap: int = DEFAULT_MATCHING_CAP) -> 
     points is asymmetric (some w without a matching -w), and CapExceeded
     when there are more than `cap` distinct pairings; the verdict must be
     exact, so the enumerator never samples. An empty dataset has the
-    single empty pairing, whose graph has no vertices.
+    single empty pairing, whose graph has no vertices. A cap that is not a
+    nonnegative int raises BadArgument.
     """
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+        raise BadArgument(f"cap must be a nonnegative integer, got {cap!r}")
     _require_valid(data)
-    # occurrences of +m and of -m at each point, for every magnitude m
-    pos: dict[int, dict[str, int]] = {}
-    neg: dict[int, dict[str, int]] = {}
-    for p in data.points:
-        for w in p.weights:
-            at = (pos if w > 0 else neg).setdefault(abs(w), {})
-            at[p.name] = at.get(p.name, 0) + 1
+    pos, neg = _occurrences(data)
     for m in sorted(set(pos) | set(neg)):
         plus, minus = sum(pos.get(m, {}).values()), sum(neg.get(m, {}).values())
         if plus != minus:
@@ -282,50 +276,50 @@ def build_multigraphs(data: FixedPointData, cap: int = DEFAULT_MATCHING_CAP) -> 
             break
     if total > cap:     # also the empty pairing of a dataset with no weights
         raise CapExceeded(f"more than {cap} distinct pairings overall")
-    vertices = data.names()
-    rank = {v: r for r, v in enumerate(sorted(vertices))}
-    shared: list[tuple[str, str, int]] = []
-    levels: list[list[tuple[tuple, tuple]]] = []
+    # the magnitudes paired one way make one leading level of one choice
+    # (empty when there are none); each other magnitude is a level
+    single: list[tuple[str, str, int]] = []
+    levels: list[list[tuple]] = []
     for m in sorted(pos):
         keys = choices[m] if m in choices else _distinct_pairings(pos[m], neg[m], cap)
-        if len(keys) == 1:      # in every graph; no level of the product
-            shared.extend((u, v, m) for u, v in keys[0])
-            continue
-        # each choice as its labelled edges and the vertex ranks it joins
-        levels.append([(tuple((u, v, m) for u, v in key),
-                        tuple(dict.fromkeys((rank[u], rank[v]) for u, v in key if u != v)))
-                       for key in keys])
-    return _product_graphs(vertices, rank, shared, levels)
+        triples = [tuple((u, v, m) for u, v in key) for key in keys]
+        if len(triples) == 1:
+            single += triples[0]
+        else:
+            levels.append(triples)
+    return _graphs(data.names(), [[tuple(single)], *levels])
 
 
-def _product_graphs(vertices: tuple[str, ...], rank: dict[str, int], shared: list,
-                    levels: list[list[tuple[tuple, tuple]]]) -> list[Multigraph]:
+def _graphs(vertices: tuple[str, ...], levels: list[list[tuple]]) -> list[Multigraph]:
     """One Multigraph per pick of one choice from every level, in
-    itertools.product order (last level fastest), each graph also holding
-    the `shared` edges.
+    itertools.product order (last level fastest). A choice is a sequence
+    of canonical (u, v, label) triples.
 
-    `rank` numbers the vertices in sorted order; a component labelling
-    maps each vertex rank to the least rank in its component. Consecutive
-    picks share a prefix of levels, so the edges and labelling after each
-    level are kept and rebuilt only from the first level that changed, in
-    an odometer walk with no recursion. What a level's choices make of a
-    labelling is cached by that labelling, and only the final edge lists
-    are sorted.
+    Vertices are ranked by sorted order, and a component labelling maps
+    each rank to the least rank in its component. The fold extends every
+    prefix of choices by one level at a time, keeping each prefix once as
+    its edges and labelling; what a level's choices make of a labelling is
+    cached by that labelling. The last level emits the graphs, consuming
+    the prefixes as it goes, and only the final edge lists are sorted.
     """
-    names = list(rank)
-    base = [0] * len(names)
-    for comp in _components(vertices, shared):
-        for v in comp:
-            base[rank[v]] = rank[comp[0]]
-    levels = levels or [[((), ())]]     # no level: one graph, no more edges
-    *upper, bottom = levels
-    depth = len(upper)
-    pick = [0] * depth
-    edges: list[tuple] = [tuple(shared)] * (depth + 1)
-    labels: list[tuple[int, ...]] = [tuple(base)] * (depth + 1)
-    # per level: the labelling above it -> the labelling after each choice
-    # (the components, on the last level)
-    steps: list[dict[tuple[int, ...], list]] = [{} for _ in levels]
+    names = sorted(vertices)
+    rank = {v: r for r, v in enumerate(names)}
+    # each choice as its triples and the distinct rank pairs it joins
+    *upper, bottom = [[(triples, tuple(dict.fromkeys(
+        (rank[u], rank[v]) for u, v, _ in triples if u != v))) for triples in level]
+        for level in levels]
+    prefixes = [((), tuple(range(len(names))))]
+    for level in upper:
+        steps: dict[tuple[int, ...], list] = {}
+        grown = []
+        for edges, label in prefixes:
+            after = steps.get(label)
+            if after is None:
+                after = steps[label] = [_join(label, links) for _, links in level]
+            grown.extend((edges + triples, joined) for (triples, _), joined in zip(level, after))
+        prefixes = grown
+    # last level: the labelling above it -> the components after each choice
+    steps = {}
     partitions: dict[tuple[int, ...], tuple[tuple[str, ...], ...]] = {}
 
     def components(label):
@@ -339,39 +333,37 @@ def _product_graphs(vertices: tuple[str, ...], rank: dict[str, int], shared: lis
         return comps
 
     graphs = []
-    changed = 0
-    while True:
-        for lv in range(changed, depth):
-            label = labels[lv]
-            after = steps[lv].get(label)
-            if after is None:
-                after = steps[lv][label] = [_join(label, links) for _, links in upper[lv]]
-            labels[lv + 1] = after[pick[lv]]
-            edges[lv + 1] = edges[lv] + upper[lv][pick[lv]][0]
-        label, prefix = labels[depth], edges[depth]
-        row = steps[depth].get(label)
+    prefixes.reverse()
+    while prefixes:
+        edges, label = prefixes.pop()
+        row = steps.get(label)
         if row is None:
-            row = steps[depth][label] = [components(_join(label, links)) for _, links in bottom]
+            row = steps[label] = [components(_join(label, links)) for _, links in bottom]
         for (triples, _), comps in zip(bottom, row):
-            graphs.append(Multigraph(vertices, tuple(sorted(prefix + triples)), comps))
-        changed = depth - 1
-        while changed >= 0 and pick[changed] == len(upper[changed]) - 1:
-            pick[changed] = 0
-            changed -= 1
-        if changed < 0:
-            return graphs
-        pick[changed] += 1
+            graphs.append(Multigraph(vertices, tuple(sorted(edges + triples)), comps))
+    return graphs
 
 
 def _join(label: tuple[int, ...], links) -> tuple[int, ...]:
     """The component labelling after adding edges between the rank pairs
-    in `links`."""
+    in `links`: one union-find pass whose roots are least ranks, so every
+    rank's parent is no greater than it, and an ascending sweep then points
+    each rank at its root."""
+    least = list(label)
     for a, b in links:
-        la, lb = label[a], label[b]
-        if la != lb:
-            lo, hi = (la, lb) if la < lb else (lb, la)
-            label = tuple([lo if x == hi else x for x in label])
-    return label
+        while least[a] != a:
+            least[a] = least[least[a]]
+            a = least[a]
+        while least[b] != b:
+            least[b] = least[least[b]]
+            b = least[b]
+        if a < b:
+            least[b] = a
+        elif b < a:
+            least[a] = b
+    for r in range(len(least)):
+        least[r] = least[least[r]]
+    return tuple(least)
 
 
 def raw_pairing_count(data: FixedPointData) -> int:
@@ -381,12 +373,8 @@ def raw_pairing_count(data: FixedPointData) -> int:
     of positive occurrences of that magnitude; useful as a brute-force
     cross-check of the enumerator.
     """
-    counts: dict[int, int] = {}
-    for p in data.points:
-        for w in p.weights:
-            if w > 0:
-                counts[w] = counts.get(w, 0) + 1
-    return prod(factorial(k) for k in counts.values())
+    pos, _ = _occurrences(data)
+    return prod(factorial(sum(at.values())) for at in pos.values())
 
 
 def connectivity_verdict(graphs: list[Multigraph]) -> ConnectivityVerdict:

@@ -330,6 +330,13 @@ def test_sweep_asserts_on_validated_data_only(capsys):
     assert failure["actual"].startswith("InvalidData: ZeroWeight")
 
 
+def test_graph_with_a_negative_cap_is_a_bad_argument(tmp_path, capsys):
+    f = _write_sphere(tmp_path / "s6.json", homology=False)
+    code, payload = _run_json(capsys, ["graph", str(f), "--cap", "-1"])
+    assert code == 1
+    assert payload["error"] == "BadArgument"
+
+
 def test_graph_refuses_a_sphere_chain_with_the_same_bytes(tmp_path, capsys):
     # 7 summed copies of standard_sphere(1, 1): refused by counting the
     # magnitude-1 tables, with the message the enumeration gave

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circle6 import (
+    BadArgument,
     BadWeights,
     CapExceeded,
     ConnectivityVerdict,
@@ -27,6 +28,7 @@ from circle6 import (
     gen_family,
     jang_case,
     linear_action_isotropy,
+    make_graph,
     negate_all,
     raw_pairing_count,
     standard_sphere,
@@ -117,6 +119,13 @@ def test_cap_counts_the_empty_pairing_too():
     with pytest.raises(CapExceeded):
         build_multigraphs(sphere_data(1, 2), cap=0)
     assert len(build_multigraphs(sphere_data(1, 2), cap=1)) == 1
+
+
+@pytest.mark.parametrize("cap", [-1, -10**20, 2.5, 1.0, "10", None, True])
+def test_a_cap_that_is_not_a_nonnegative_int_is_a_bad_argument(cap):
+    for data in (sphere_data(1, 2), dataset(3, [])):
+        with pytest.raises(BadArgument, match="cap"):
+            build_multigraphs(data, cap=cap)
 
 
 def test_long_sphere_chain_is_refused_not_a_recursion_error():
@@ -338,6 +347,33 @@ def test_components_agree_with_networkx():
             multi.add_edges_from((u, v) for u, v, _ in g.edges)
             assert g.components == tuple(sorted(
                 tuple(sorted(c)) for c in nx.connected_components(multi)))
+
+
+def test_make_graph_canonicalizes_edges_and_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(41)
+    for _ in range(300):
+        names = [f"v{i}" for i in range(rng.randint(1, 9))]
+        rng.shuffle(names)      # vertex order is kept, not sorted
+        # loops, parallel edges, and (with few edges) isolated vertices
+        edges = [(rng.choice(names), rng.choice(names), rng.randint(1, 3))
+                 for _ in range(rng.randint(0, 2 * len(names)))]
+        g = make_graph(names, edges)
+        assert g.vertices == tuple(names)
+        assert g.edges == tuple(sorted((min(u, v), max(u, v), w) for u, v, w in edges))
+        multi = nx.MultiGraph()
+        multi.add_nodes_from(names)
+        multi.add_edges_from((u, v) for u, v, _ in edges)
+        assert g.components == tuple(sorted(
+            tuple(sorted(c)) for c in nx.connected_components(multi)))
+
+
+@pytest.mark.parametrize("vertices, edges", [
+    (["a", "a"], []), (["a", "b", "a"], [("a", "b", 1)]), (["a"], [("a", "b", 1)]),
+    ([], [("a", "a", 2)])])
+def test_make_graph_refuses_repeated_vertices_and_foreign_endpoints(vertices, edges):
+    with pytest.raises(BadArgument):
+        make_graph(vertices, edges)
 
 
 # ---- counting tables before enumerating them ------------------------------
