@@ -9,28 +9,25 @@ permutation of points, permutation of weights within a point, and global
 reversal of the action.
 
 Matching is candidate-and-compare. Every template is affine in its
-parameters, and one or two "pinning" slots already fix all of them: slot 0
-for cases A, B, E and F, slot 1 for case C, slots 0 and 2 for case D. The
-matcher derives these slots, an exact integer inverse for the pinned
-entries, and the signs the templates force on them, from the templates at
-import time. For each case it then tries only the (point, weight order)
-choices for the pinning slots that those signs allow, solves for the
-parameters, and keeps the integral ones that satisfy the case's
-constraints and whose regenerated family equals the data as a multiset of
-weight multisets.
+parameters, and every parameter, or its negative, is a plain entry of some
+slot. One or two "pinning" slots hold all of them: slot 0 for cases A and
+E, slot 1 for cases B, C and F, slots 0 and 2 for case D. The matcher
+derives these slots, the entries that read each parameter, and the signs
+the templates force on the pinned entries, from the templates at import
+time. For each case it then tries only the (point, weight order) choices
+for the pinning slots that those signs allow, reads the parameters off
+them, and keeps those that satisfy the case's constraints and whose
+regenerated family equals the data as a multiset of weight multisets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import chain, permutations, product
-from math import lcm
-from operator import mul, sub
 from typing import Callable, Mapping
 
-from .core import FixedPointData, HomologyProfile, _require_valid, dataset
+from .core import FixedPointData, HomologyProfile, _is_int, _require_valid, dataset
 from .errors import BadParams, MissingProfile, WrongDimension, WrongPointCount
 
 
@@ -73,45 +70,37 @@ def _coerce_tag(tag: CaseTag | str) -> CaseTag:
                     f"{[t.value for t in CaseTag]}")
 
 
-# Weight rows of each family as functions of the parameters. These are the
-# single source of truth: the matcher derives its linear forms from them.
-_FAMILIES: Mapping[CaseTag, tuple[tuple[str, ...], Callable[..., tuple]]] = {
+# Weight rows of each family as functions of the parameters, and whether
+# the case needs parameters >= 1. These are the single source of truth: the
+# matcher derives its pinning slots and sign prefilter from them.
+_FAMILIES: Mapping[CaseTag, tuple[tuple[str, ...], Callable[..., tuple], bool]] = {
     CaseTag.A_CP3: (("a", "b", "c"), lambda a, b, c: (
-        (a, b, c), (-a, b - a, c - a), (-b, a - b, c - b), (-c, a - c, b - c))),
+        (a, b, c), (-a, b - a, c - a), (-b, a - b, c - b), (-c, a - c, b - c)), True),
     CaseTag.B_Q3: (("a", "b"), lambda a, b: (
         (a, a + b, a + 2 * b), (-a, b, a + 2 * b),
-        (-a - 2 * b, -b, a), (-a - 2 * b, -a - b, -a))),
-    CaseTag.C_Fano: (("a",), lambda a: (
-        (1, 2, 3), (-1, 1, a), (-1, 1, -a), (-1, -2, -3))),
-    CaseTag.D_S6_union: (("a", "b", "c", "d"), lambda a, b, c, d: (
-        (a, b, -a - b), (-a, -b, a + b), (c, d, -c - d), (-c, -d, c + d))),
-    CaseTag.E_BlP_S6: (("a", "b"), lambda a, b: (
-        (-3 * a - b, a, b), (-2 * a - b, 3 * a + b, 3 * a + 2 * b),
-        (-a, -a - b, 2 * a + b), (-b, -3 * a - 2 * b, a + b))),
-    CaseTag.F_BlC_S6: (("a", "b"), lambda a, b: (
-        (-a - b, 2 * a + b, b), (-2 * a - b, a, b),
-        (-b, -2 * a - b, a + b), (-a, -b, 2 * a + b))),
-}
-
-
-def _all_positive(params: tuple[int, ...]) -> bool:
-    return all(p >= 1 for p in params)
-
-
-_CONSTRAINTS: Mapping[CaseTag, Callable[[tuple[int, ...]], bool]] = {
-    CaseTag.A_CP3: lambda ps: _all_positive(ps) and len(set(ps)) == 3,
-    CaseTag.B_Q3: _all_positive,
+        (-a - 2 * b, -b, a), (-a - 2 * b, -a - b, -a)), True),
     # Case C takes *any* integer a; a = 0 is accepted syntactically even
     # though the resulting zero weight fails dataset validation downstream.
-    CaseTag.C_Fano: lambda ps: True,
-    CaseTag.D_S6_union: _all_positive,
-    CaseTag.E_BlP_S6: _all_positive,
-    CaseTag.F_BlC_S6: _all_positive,
+    CaseTag.C_Fano: (("a",), lambda a: (
+        (1, 2, 3), (-1, 1, a), (-1, 1, -a), (-1, -2, -3)), False),
+    CaseTag.D_S6_union: (("a", "b", "c", "d"), lambda a, b, c, d: (
+        (a, b, -a - b), (-a, -b, a + b), (c, d, -c - d), (-c, -d, c + d)), True),
+    CaseTag.E_BlP_S6: (("a", "b"), lambda a, b: (
+        (-3 * a - b, a, b), (-2 * a - b, 3 * a + b, 3 * a + 2 * b),
+        (-a, -a - b, 2 * a + b), (-b, -3 * a - 2 * b, a + b)), True),
+    CaseTag.F_BlC_S6: (("a", "b"), lambda a, b: (
+        (-a - b, 2 * a + b, b), (-2 * a - b, a, b),
+        (-b, -2 * a - b, a + b), (-a, -b, 2 * a + b)), True),
 }
 
-# The cases whose constraint includes parameters >= 1; the matcher's sign
-# prefilter rests on it.
-_POSITIVE_PARAMS = frozenset(CaseTag) - {CaseTag.C_Fano}
+
+def _admissible(tag: CaseTag, params: tuple[int, ...]) -> bool:
+    """The constraints of a case: parameters >= 1 where the family needs
+    them, and pairwise distinct in case A."""
+    if _FAMILIES[tag][2] and min(params) < 1:
+        return False
+    return tag is not CaseTag.A_CP3 or len(set(params)) == len(params)
+
 
 def param_names(tag: CaseTag | str) -> tuple[str, ...]:
     """The parameter names a case expects, in order."""
@@ -125,13 +114,13 @@ def gen_family(case: JangCase) -> FixedPointData:
     (wrong arity, non-positive entries where positivity is required, or a
     repeated value in case A).
     """
-    names, fn = _FAMILIES[case.tag]
+    names, fn, _ = _FAMILIES[case.tag]
     if len(case.params) != len(names):
         raise BadParams(f"case {case.tag.value} takes parameters {names}, "
                         f"got {len(case.params)} value(s)")
-    if not all(isinstance(p, int) and not isinstance(p, bool) for p in case.params):
+    if not all(map(_is_int, case.params)):
         raise BadParams(f"parameters must be integers, got {case.params!r}")
-    if not _CONSTRAINTS[case.tag](case.params):
+    if not _admissible(case.tag, case.params):
         raise BadParams(f"parameters {case.params} violate the constraints of case "
                         f"{case.tag.value}")
     rows = fn(*case.params)
@@ -155,34 +144,6 @@ def _affine_forms(fn: Callable[..., tuple], k: int):
         for s in range(4))
 
 
-def _greedy_inverse(vectors, k: int):
-    """Pick vectors in order while they raise the rank, until k are picked,
-    and invert the square matrix they form by Gauss-Jordan elimination.
-
-    Returns (picked indices, N, den) with N / den that inverse.
-    """
-    rows: dict[int, list[Fraction]] = {}    # pivot column -> [e_pivot | combination]
-    picked: list[int] = []
-    for idx, vec in enumerate(vectors):
-        if len(picked) == k:
-            break
-        row = [Fraction(x) for x in vec] + [Fraction(int(j == len(picked))) for j in range(k)]
-        for col, prow in rows.items():
-            f = row[col]
-            row = [x - f * y for x, y in zip(row, prow)]
-        col = next((i for i in range(k) if row[i]), -1)
-        if col < 0:
-            continue
-        row = [x / row[col] for x in row]
-        for c, prow in rows.items():
-            f = prow[col]
-            rows[c] = [x - f * y for x, y in zip(prow, row)]
-        rows[col] = row
-        picked.append(idx)
-    den = lcm(*(x.denominator for row in rows.values() for x in row[k:]))
-    return picked, tuple(tuple(int(x * den) for x in rows[c][k:]) for c in range(k)), den
-
-
 def _forced_sign(coeffs: tuple[int, ...], const: int, positive: bool) -> int:
     """+1 or -1 when an entry has that sign for every admissible parameter
     vector, else 0. With parameters >= 1 that holds when the coefficients
@@ -200,49 +161,57 @@ def _forced_sign(coeffs: tuple[int, ...], const: int, positive: bool) -> int:
 
 @dataclass(frozen=True)
 class _Pin:
-    """A pinning slot: its index, the entries that enter the solve, the
-    sign each of its three entries is forced to have (0: free), and its
-    weight sum when that does not depend on the parameters."""
+    """A pinning slot: its index, the sign each of its three entries is
+    forced to have (0: free), its weight sum when that does not depend on
+    the parameters, and the parameters it reads as (entry, parameter index,
+    sign) with parameter = sign * entry."""
 
     slot: int
-    entries: tuple[int, ...]
     signs: tuple[int, int, int]
     total: int | None
+    reads: tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """How to recover a case's parameters: params = inverse . (values -
-    consts) / den, values being the pinned entries in pin order. n0 is the
-    number of slots whose entries are all forced positive; every other
-    slot has a forced-negative entry, so it is the number of all-positive
-    points of every member (its Todd genus)."""
+    """How to recover a case's parameters: read them off the pinned slots.
+    n0 is the number of slots whose entries are all forced positive; every
+    other slot has a forced-negative entry, so it is the number of
+    all-positive points of every member (its Todd genus)."""
 
     pins: tuple[_Pin, ...]
-    consts: tuple[int, ...]
-    inverse: tuple[tuple[int, ...], ...]
-    den: int
     n0: int
 
 
 def _plan(tag: CaseTag) -> _Plan:
-    """Pin slots in order while their entry forms raise the rank."""
-    names, fn = _FAMILIES[tag]
-    k = len(names)
-    positive = tag in _POSITIVE_PARAMS
-    forms = _affine_forms(fn, k)
-    entries = [(s, e) for s in range(4) for e in range(3)]
-    picked, inverse, den = _greedy_inverse([forms[s][e][0] for s, e in entries], k)
-    solved = [entries[i] for i in picked]
+    """Pin slots greedily, each time the one whose bare entries (+-e_i,
+    constant 0) read the most unread parameters, earliest slot first."""
+    names, fn, positive = _FAMILIES[tag]
+    forms = _affine_forms(fn, len(names))
+    bare: list[dict[int, tuple[int, int]]] = [{} for _ in forms]   # parameter -> (entry, sign)
+    for s, slot in enumerate(forms):
+        for e, (coeffs, const) in enumerate(slot):
+            used = [i for i, c in enumerate(coeffs) if c]
+            if const == 0 and len(used) == 1 and coeffs[used[0]] in (1, -1):
+                bare[s].setdefault(used[0], (e, coeffs[used[0]]))
+    unread = set(range(len(names)))
+    chosen: dict[int, list[int]] = {}
+    while unread:
+        s = max(range(4), key=lambda s: (len(unread & bare[s].keys()), -s))
+        gain = sorted(unread & bare[s].keys())
+        if not gain:
+            raise ValueError(f"case {tag.value}: no template entry reads "
+                             f"{[names[i] for i in sorted(unread)]} directly")
+        chosen[s] = gain
+        unread -= set(gain)
     signs = [tuple(_forced_sign(c, const, positive) for c, const in forms[s]) for s in range(4)]
     pins = []
-    for s in sorted({s for s, _ in solved}):
+    for s in sorted(chosen):
         coeff_sum = [sum(col) for col in zip(*(c for c, _ in forms[s]))]
         pins.append(_Pin(
-            s, tuple(e for t, e in solved if t == s), signs[s],
-            None if any(coeff_sum) else sum(const for _, const in forms[s])))
-    return _Plan(tuple(pins), tuple(forms[s][e][1] for s, e in solved), inverse, den,
-                 sum(min(sg) > 0 for sg in signs))
+            s, signs[s], None if any(coeff_sum) else sum(const for _, const in forms[s]),
+            tuple((bare[s][i][0], i, bare[s][i][1]) for i in chosen[s])))
+    return _Plan(tuple(pins), sum(min(sg) > 0 for sg in signs))
 
 
 _PLANS = {tag: _plan(tag) for tag in CaseTag}
@@ -261,7 +230,7 @@ def _orders_by_sign(pts: tuple[tuple[int, ...], ...]):
 
 
 def _candidates(plan: _Plan, orders: dict):
-    """The integral parameter vectors the pinning slots admit.
+    """The parameter vectors the pinning slots admit.
 
     Any point in any weight order may fill a pinning slot unless a forced
     sign or weight sum rules it out; the caller regenerates each candidate
@@ -270,23 +239,19 @@ def _candidates(plan: _Plan, orders: dict):
     per_pin = []
     for pin in plan.pins:
         allowed = product(*((s > 0,) if s else (True, False) for s in pin.signs))
-        values = {tuple(order[e] for e in pin.entries)
+        values = {tuple(sign * order[e] for e, _, sign in pin.reads)
                   for signs in allowed for total, order in orders.get(signs, ())
                   if pin.total is None or total == pin.total}
         if not values:
             return set()
         per_pin.append(values)
+    where = [i for pin in plan.pins for _, i, _ in pin.reads]
     found = set()
     for combo in product(*per_pin):
-        rhs = list(map(sub, chain.from_iterable(combo), plan.consts))
-        params = []
-        for row in plan.inverse:
-            num = sum(map(mul, row, rhs))
-            if num % plan.den:
-                break
-            params.append(num // plan.den)
-        else:
-            found.add(tuple(params))
+        params = [0] * len(where)
+        for i, value in zip(where, chain.from_iterable(combo)):
+            params[i] = value
+        found.add(tuple(params))
     return found
 
 
@@ -358,9 +323,8 @@ def classify(data: FixedPointData) -> ClassificationResult:
         orders = _orders_by_sign(pts)
         for tag in tags:
             fn = _FAMILIES[tag][1]
-            admissible = _CONSTRAINTS[tag]
             for params in _candidates(_PLANS[tag], orders):
-                if not admissible(params):
+                if not _admissible(tag, params):
                     continue
                 generated = fn(*params)
                 if _canonical(generated) != target:

@@ -5,6 +5,7 @@ admissible, framing, verify-gluing, sweep. Reports are JSON on stdout
 (redirected to --out when given) with sorted keys and exact rationals as
 "p/q" strings, so output is byte-stable for identical inputs and seeds.
 Exit codes: 0 success, 1 validation/assertion failure, 2 usage error.
+When --out cannot be written, the error payload goes to stdout instead.
 
 `run` parses with one parser per process, built by `build_parser()` the
 first time `run` needs it (not at import) and reused by every later call;
@@ -20,13 +21,12 @@ import re
 import sys
 from fractions import Fraction
 from itertools import product
-from pathlib import Path
 
 from . import core
 from .classifier import (CaseTag, JangCase, classify, gen_family, jang_case,
                          param_names)
 from .core import format_rational, parse_rational
-from .errors import ParseError, ToolkitError, ValidationError
+from .errors import BadArgument, ParseError, ToolkitError, ValidationError
 from .localization import c1_cubed, chern_report, chi_y_profile
 from .multigraph import DEFAULT_MATCHING_CAP, build_multigraphs, connectivity_verdict
 from .surgery import (DimensionPair, equivariant_normal_framing_class,
@@ -74,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="FILE", default=None,
                         help="write the JSON output to FILE instead of stdout")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for pseudo-random sampling (default 0)")
     common.add_argument("--quiet", action="store_true",
                         help="suppress stdout; exit code only")
 
@@ -132,6 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="numerically check the collar gluing identity")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for pseudo-random sampling (default 0)")
 
     p = sub.add_parser("sweep", parents=[common],
                        help="enumerate a family over parameter ranges and "
@@ -160,7 +160,7 @@ def _parser() -> argparse.ArgumentParser:
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        core._write_text(args.out, text)
     elif not args.quiet:
         sys.stdout.write(text)
 
@@ -227,7 +227,7 @@ def _cmd_graph(args):
     verdict = connectivity_verdict(graphs)
     if args.dot:
         dot = "".join(g.to_dot(name=f"g{i}") for i, g in enumerate(graphs))
-        Path(args.dot).write_text(dot, encoding="utf-8")
+        core._write_text(args.dot, dot)
     return 0, {
         "count": len(graphs),
         "verdict": verdict.value,
@@ -368,12 +368,22 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         code, payload = _HANDLERS[args.command](args)
+        if payload is not None:
+            _emit(payload, args)
+        return code
     except ToolkitError as exc:
+        return _fail(exc, args)
+
+
+def _fail(exc: ToolkitError, args) -> int:
+    """Emit the error payload of exc and return exit code 1; when --out
+    cannot be written, that failure goes to stdout instead."""
+    try:
         _emit({"error": type(exc).__name__, "message": str(exc)}, args)
-        return 1
-    if payload is not None:
-        _emit(payload, args)
-    return code
+    except BadArgument as write_error:
+        args.out = None
+        return _fail(write_error, args)
+    return 1
 
 
 def main() -> None:

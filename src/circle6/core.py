@@ -246,13 +246,24 @@ def document(data: FixedPointData) -> dict:
     return doc
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    """Write UTF-8 text to a file; BadArgument when the path cannot be written."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise BadArgument(f"cannot write {path}: {exc}") from exc
+
+
 def save(data: FixedPointData, target: str | Path | IO[str]) -> None:
-    """Write the dataset document as UTF-8 JSON (deterministic key order)."""
+    """Write the dataset document as UTF-8 JSON (deterministic key order).
+
+    Raises BadArgument when a target path cannot be written.
+    """
     text = json.dumps(document(data), sort_keys=True, indent=2) + "\n"
     if hasattr(target, "write"):
         target.write(text)
     else:
-        Path(target).write_text(text, encoding="utf-8")
+        _write_text(target, text)
 
 
 _TOP_KEYS = {"n", "fixed_points", "homology", "labels"}

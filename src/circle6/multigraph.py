@@ -39,7 +39,7 @@ from itertools import accumulate
 from math import factorial, gcd, prod
 from operator import mul, sub
 
-from .core import FixedPointData, _require_valid
+from .core import FixedPointData, _is_int, _require_valid
 from .errors import BadArgument, BadWeights, CapExceeded, UnpairableWeights
 
 #: Abort threshold for pairing enumeration (verdicts must be exact, so the
@@ -248,7 +248,7 @@ def build_multigraphs(data: FixedPointData, cap: int = DEFAULT_MATCHING_CAP) -> 
     single empty pairing, whose graph has no vertices. A cap that is not a
     nonnegative int raises BadArgument.
     """
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+    if not _is_int(cap) or cap < 0:
         raise BadArgument(f"cap must be a nonnegative integer, got {cap!r}")
     _require_valid(data)
     pos, neg = _occurrences(data)
@@ -408,7 +408,7 @@ def linear_action_isotropy(w1: int, w2: int, w3: int) -> Multigraph:
     joining the two S^2 poles. The graph is connected.
     """
     ws = (w1, w2, w3)
-    if any(not isinstance(w, int) or isinstance(w, bool) or w <= 1 for w in ws):
+    if not all(_is_int(w) and w > 1 for w in ws):
         raise BadWeights(f"isotropy weights must be integers > 1, got {ws}")
     for i in range(3):
         for j in range(i + 1, 3):

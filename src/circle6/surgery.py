@@ -34,10 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import inf
+from numbers import Real
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .core import (FixedPoint, FixedPointData, HomologyProfile, SPHERE_PROFILE,
-                   Violation, _require_valid, disjoint_union)
+                   Violation, _is_int, _require_valid, disjoint_union)
 from .classifier import recognize_diffeotype
 from .errors import (BadArgument, BadDimensions, InvalidData, MissingProfile,
                      NotAdmissible, NotSimplyConnected, WrongDimension)
@@ -67,8 +68,8 @@ _SO_MOD_U = (
 
 def stable_pi_so_mod_u(q: int) -> HomotopyGroup:
     """Stable pi_q(SO(2n)/U(n)); independent of n for q < 2n - 1."""
-    if q < 0:
-        raise BadArgument(f"homotopy degree must be nonnegative, got {q}")
+    if not _is_int(q) or q < 0:
+        raise BadArgument(f"homotopy degree must be a nonnegative integer, got {q!r}")
     return _SO_MOD_U[q % 8]
 
 
@@ -80,7 +81,7 @@ class DimensionPair:
     k: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.k, int)):
+        if not (_is_int(self.n) and _is_int(self.k)):
             raise BadDimensions(f"n, k must be integers, got ({self.n!r}, {self.k!r})")
         if self.k <= 0 or self.n <= 0 or self.k >= 2 * self.n:
             raise BadDimensions(f"need 0 < k < 2n, got n={self.n}, k={self.k}")
@@ -130,9 +131,14 @@ def psi_flip(normal_class: Z2Class) -> Z2Class:
     trivial normal framing maps to the nontrivial tangent class and vice
     versa, so the translation is the swap 0 <-> 1 (an involution).
     """
-    if normal_class not in (0, 1):
+    if not _is_int(normal_class) or normal_class not in (0, 1):
         raise BadArgument(f"a Z/2 framing class must be 0 or 1, got {normal_class!r}")
     return 1 - normal_class
+
+
+def _check_sphere_weights(a, b) -> None:
+    if not (_is_int(a) and _is_int(b) and a >= 1 and b >= 1):
+        raise BadArgument(f"sphere action weights must be positive integers, got ({a!r}, {b!r})")
 
 
 def equivariant_normal_framing_class(a: int, b: int) -> Z2Class:
@@ -146,8 +152,7 @@ def equivariant_normal_framing_class(a: int, b: int) -> Z2Class:
     of a free orbit are homotopic, so the class is canonical: it is
     computed, never configured.)
     """
-    if a < 1 or b < 1:
-        raise BadArgument(f"sphere action weights must be positive, got ({a}, {b})")
+    _check_sphere_weights(a, b)
     return psi_flip(rotation_loop_class((-a, b, a + b)))
 
 
@@ -159,8 +164,7 @@ def standard_sphere(a: int, b: int, names: tuple[str, str] = ("p1", "p2")) -> Fi
     """Fixed-point data of the standard weight-(a, b) circle action on the
     6-sphere: two fixed points with opposite weight multisets {a, b, -a-b}
     and {-a, -b, a+b}, with the sphere's homology profile attached."""
-    if a < 1 or b < 1:
-        raise BadArgument(f"sphere action weights must be positive, got ({a}, {b})")
+    _check_sphere_weights(a, b)
     pts = (FixedPoint(names[0], (a, b, -a - b)),
            FixedPoint(names[1], (-a, -b, a + b)))
     return FixedPointData(3, pts, homology=SPHERE_PROFILE)
@@ -350,12 +354,13 @@ def verify_framing_reversal_identity(
     collar map simply comes back with passed=False and the deviation it
     produced. Same seed, same verdict.
     """
-    if not 0 < tolerance < inf:     # a NaN or infinite tolerance decides nothing
-        raise BadArgument(f"tolerance must be positive and finite, got {tolerance}")
-    if samples < 1:
-        raise BadArgument(f"need at least one sample, got {samples}")
-    if seed < 0:
-        raise BadArgument(f"seed must be nonnegative, got {seed}")
+    # a NaN or infinite tolerance decides nothing
+    if isinstance(tolerance, bool) or not isinstance(tolerance, Real) or not 0 < tolerance < inf:
+        raise BadArgument(f"tolerance must be positive and finite, got {tolerance!r}")
+    if not _is_int(samples) or samples < 1:
+        raise BadArgument(f"need an integer number of samples >= 1, got {samples!r}")
+    if not _is_int(seed) or seed < 0:
+        raise BadArgument(f"seed must be a nonnegative integer, got {seed!r}")
     h = collar_map if collar_map is not None else _twist
     h_inv = collar_map_inverse if collar_map_inverse is not None else _twist_inverse
     radial = alpha if alpha is not None else (lambda r: 1.0 / r)

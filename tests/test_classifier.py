@@ -19,6 +19,7 @@ from circle6 import (
     QUADRIC_Q3,
     S4_X_S2,
     SPHERE_PROFILE,
+    WrongDimension,
     WrongPointCount,
     classify,
     dataset,
@@ -70,6 +71,17 @@ def test_bad_params_rejected(tag, params):
         gen_family(jang_case(tag, *params))
 
 
+@pytest.mark.parametrize("params", [(1.0, 2), (True, 2), ("1", 2)])
+def test_non_integer_params_rejected(params):
+    with pytest.raises(BadParams, match="integers"):
+        gen_family(jang_case("F", *params))
+
+
+def test_unknown_case_tag_is_bad_params():
+    with pytest.raises(BadParams, match="unknown case tag"):
+        jang_case("Z")
+
+
 def test_case_c_takes_any_integer_even_zero():
     assert gen_family(jang_case("C", -5)).weight_rows()[1] == (-1, 1, -5)
     # a = 0 is accepted syntactically, but the generated data carries zero
@@ -83,7 +95,7 @@ def test_templates_are_affine_in_the_parameters():
     # affineness is what makes that sound
     from circle6.classifier import _FAMILIES, _affine_forms
     rng = random.Random(17)
-    for tag, (names, fn) in _FAMILIES.items():
+    for tag, (names, fn, _) in _FAMILIES.items():
         k = len(names)
         forms = _affine_forms(fn, k)
         for _ in range(20):
@@ -98,7 +110,7 @@ def test_templates_are_affine_in_the_parameters():
 def test_pinning_slots_are_derived_from_the_templates():
     from circle6.classifier import _PLANS
     slots = {tag.letter: tuple(pin.slot for pin in plan.pins) for tag, plan in _PLANS.items()}
-    assert slots == {"A": (0,), "B": (0,), "C": (1,), "D": (0, 2), "E": (0,), "F": (0,)}
+    assert slots == {"A": (0,), "B": (1,), "C": (1,), "D": (0, 2), "E": (0,), "F": (1,)}
     # the sign prefilter: case A's slot 0 is the all-positive point, case D
     # pins zero-sum points of sign pattern (+, +, -), case C only constants
     assert _PLANS[CaseTag.A_CP3].pins[0].signs == (1, 1, 1)
@@ -107,22 +119,37 @@ def test_pinning_slots_are_derived_from_the_templates():
     assert _PLANS[CaseTag.C_Fano].pins[0].signs == (-1, 1, 0)
 
 
-def test_greedy_inverse_skips_dependent_rows_and_keeps_a_denominator():
-    from circle6.classifier import _greedy_inverse
-    vectors = [(2, 0), (4, 0), (1, 3), (5, 5)]
-    picked, inverse, den = _greedy_inverse(vectors, 2)
-    assert picked == [0, 2]
-    assert (inverse, den) == (((3, 0), (-1, 2)), 6)
+def test_every_case_reads_each_parameter_exactly_once():
+    from circle6.classifier import _PLANS
+    for tag, plan in _PLANS.items():
+        read = sorted(i for pin in plan.pins for _, i, _ in pin.reads)
+        assert read == list(range(len(param_names(tag)))), tag
+    # case B reads -a and b off slot 1
+    assert _PLANS[CaseTag.B_Q3].pins[0].reads == ((0, 0, -1), (1, 1, 1))
 
 
-def test_positive_parameter_cases_match_the_constraints():
-    # the sign prefilter trusts _POSITIVE_PARAMS; it must agree with the
-    # constraints gen_family enforces
-    from circle6.classifier import _CONSTRAINTS, _POSITIVE_PARAMS
-    for tag in CaseTag:
+def test_a_parameter_no_entry_reads_fails_the_plan(monkeypatch):
+    from circle6 import classifier
+    monkeypatch.setitem(classifier._FAMILIES, CaseTag.C_Fano, (("a",), lambda a: (
+        (1, 2, 3), (-1, 1, a + 1), (-1, 1, -a - 1), (-1, -2, -3)), False))
+    with pytest.raises(ValueError, match="reads"):
+        classifier._plan(CaseTag.C_Fano)
+
+
+def test_reading_the_pinned_slots_recovers_the_parameters():
+    from circle6.classifier import _PLANS, _admissible
+    rng = random.Random(31)
+    for _ in range(600):
+        tag = rng.choice(ALL_TAGS)
         k = len(param_names(tag))
-        below = tuple(range(0, -k, -1))          # 0, -1, -2, ...: distinct
-        assert _CONSTRAINTS[tag](below) == (tag not in _POSITIVE_PARAMS), tag
+        lo = -40 if tag is CaseTag.C_Fano else 1
+        params = tuple(rng.randint(lo, 40) for _ in range(k))
+        if not _admissible(tag, params):
+            continue
+        rows = gen_family(jang_case(tag, *params)).weight_rows()
+        read = {i: sign * rows[pin.slot][e]
+                for pin in _PLANS[tag].pins for e, i, sign in pin.reads}
+        assert tuple(read[i] for i in range(k)) == params, (tag, params)
 
 
 # ---- classification ------------------------------------------------------
@@ -219,6 +246,8 @@ def test_classify_input_gates():
         classify(dataset(3, [("p1", (1, 2, -3)), ("p2", (-1, -2, 3)), ("p3", (1, 1, -2))]))
     with pytest.raises(InvalidData):
         classify(dataset(3, [("p1", (0, 2, -3))] + [(f"q{i}", (1, 2, -3)) for i in range(3)]))
+    with pytest.raises(WrongDimension):
+        classify(dataset(2, [("p1", (1, -1)), ("p2", (-1, 1)), ("p3", (2, -2)), ("p4", (-2, 2))]))
 
 
 def test_param_names():

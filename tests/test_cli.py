@@ -291,6 +291,30 @@ def test_out_flag_redirects(tmp_path, capsys):
     assert json.loads(target.read_text())["c1_cubed"] == "0/1"
 
 
+@pytest.mark.parametrize("argv", [
+    ["localize", "{file}", "--out", "{dir}"],
+    ["localize", "{file}", "--out", "{dir}/missing/x.json"],
+    ["graph", "{file}", "--dot", "{dir}/missing/x.dot"],
+    ["sum", "{file}", "{file}", "--out", "{dir}"],
+], ids=["out-dir", "out-missing", "dot-missing", "sum-out-dir"])
+def test_an_unwritable_output_path_is_a_json_error(argv, tmp_path, capsys):
+    f = _write_sphere(tmp_path / "s6.json")
+    argv = [arg.replace("{file}", str(f)).replace("{dir}", str(tmp_path)) for arg in argv]
+    code, payload = _run_json(capsys, argv)
+    assert code == 1
+    assert payload["error"] == "BadArgument"
+    assert payload["message"].startswith("cannot write ")
+    assert run([*argv, "--quiet"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_only_verify_gluing_takes_a_seed(tmp_path, capsys):
+    f = _write_sphere(tmp_path / "s6.json")
+    assert run(["localize", str(f), "--seed", "3"]) == 2
+    assert run(["verify-gluing", "--samples", "5", "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 3
+
+
 def test_quiet_suppresses_stdout(tmp_path, capsys):
     f = _write_sphere(tmp_path / "s6.json")
     code = run(["localize", str(f), "--quiet"])

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from circle6 import (
+    BadArgument,
     HomologyProfile,
     ParseError,
     SPHERE_PROFILE,
@@ -149,6 +150,11 @@ def test_load_refuses_too_deeply_nested_json():
     {"n": 3, "fixed_points": [], "extra": 1},
     {"n": 3, "fixed_points": [], "homology": {"b2": 0}},
     {"n": 3, "fixed_points": [], "labels": {"k": 1}},
+    {"n": 3, "fixed_points": [{"name": 1, "weights": [1, 2, -3]}]},
+    {"n": 3, "fixed_points": [], "homology": {
+        "simply_connected": 1, "b2": 0, "b3": 0, "torsion_free": True}},
+    {"n": 3, "fixed_points": [], "homology": {
+        "simply_connected": True, "b2": 0.5, "b3": 0, "torsion_free": True}},
 ])
 def test_load_rejects_schema_violations(doc):
     with pytest.raises(ParseError):
@@ -175,6 +181,13 @@ def test_save_load_round_trip_is_identity(tmp_path):
         buf = io.StringIO()
         save(d, buf)
         assert load(io.StringIO(buf.getvalue())) == d
+
+
+@pytest.mark.parametrize("target", ["directory", "missing/x.json"])
+def test_save_to_an_unwritable_path_is_a_bad_argument(tmp_path, target):
+    (tmp_path / "directory").mkdir()
+    with pytest.raises(BadArgument, match="cannot write"):
+        save(sphere_data(), tmp_path / target)
 
 
 def test_document_omits_empty_optionals():
@@ -204,6 +217,6 @@ def test_rational_formatting_and_parsing():
     assert format_rational(Fraction(7, -14)) == "-1/2"
     assert parse_rational("-2") == Fraction(-2)
     assert parse_rational("3/6") == Fraction(1, 2)
-    for bad in ("1.5", "1e3", "x", "1/0", ""):
+    for bad in ("1.5", "1e3", "x", "1/0", "", "1/x"):
         with pytest.raises(ParseError):
             parse_rational(bad)

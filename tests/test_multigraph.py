@@ -537,10 +537,16 @@ def test_linear_isotropy_graph_shape():
     assert all(g.degree(v) == 3 for v in g.vertices)
 
 
-@pytest.mark.parametrize("weights", [(1, 2, 3), (2, 4, 5), (0, 3, 5), (2, 3, 9)])
+@pytest.mark.parametrize("weights", [(1, 2, 3), (2, 4, 5), (0, 3, 5), (2, 3, 9),
+                                     (2.0, 3, 5), (True, 3, 5)])
 def test_linear_isotropy_rejects_bad_weights(weights):
     with pytest.raises(BadWeights):
         linear_action_isotropy(*weights)
+
+
+def test_verdict_of_no_graphs_is_a_bad_argument():
+    with pytest.raises(BadArgument):
+        connectivity_verdict([])
 
 
 def test_exoticness_for_magnitude_disjoint_sum():

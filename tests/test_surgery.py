@@ -9,6 +9,7 @@ import pytest
 
 from circle6 import (
     Admissibility,
+    BadArgument,
     BadDimensions,
     DimensionPair,
     HomologyProfile,
@@ -85,7 +86,8 @@ def test_residue_truth_table():
         assert adm.unique == (m % 8 in (4, 5)), m
 
 
-@pytest.mark.parametrize("n,k", [(3, 0), (3, -1), (3, 6), (2, 7), (0, 1)])
+@pytest.mark.parametrize("n,k", [(3, 0), (3, -1), (3, 6), (2, 7), (0, 1), (True, True),
+                                 (3.0, 1), (3, "1")])
 def test_bad_dimension_pairs(n, k):
     with pytest.raises(BadDimensions):
         DimensionPair(n, k)
@@ -189,6 +191,13 @@ def test_sum_gates():
                      dataset(2, [("p", (1, -1)), ("q", (-1, 1))]), SPHERE_PROFILE)
     with pytest.raises(InvalidData):
         kustarev_sum(dataset(3, []), SPHERE_PROFILE, standard_sphere(1, 1), None)
+    # a pointless summand with euler 2 + 2*b2 - b3 = 0 is valid data, and
+    # the sum still refuses it
+    pointless = HomologyProfile(True, 0, 2, True)
+    assert validate(dataset(3, [], homology=pointless)) == []
+    with pytest.raises(InvalidData) as err:
+        kustarev_sum(dataset(3, []), pointless, standard_sphere(1, 1), None)
+    assert [v.rule for v in err.value.violations] == ["EmptyFixedPointSet"]
 
 
 def test_sum_validates_summands_against_the_composed_profiles(validate_calls):
@@ -223,6 +232,8 @@ def test_is_sphere_summand():
     assert not is_sphere_summand(gen_family(jang_case("F", 1, 1)),
                                  HomologyProfile(True, 1, 0, True))
     assert not is_sphere_summand(standard_sphere(1, 1), None)
+    three = dataset(3, [("x", (1, 2, -3)), ("y", (-1, -2, 3)), ("z", (1, 1, -2))])
+    assert not is_sphere_summand(three, SPHERE_PROFILE)
 
 
 def test_iterated_sums_keep_names_unique():
@@ -296,6 +307,28 @@ def test_phase_twisted_collar_is_the_same_map():
         samples=400, tolerance=1e-9, seed=5,
         collar_map=twisted, collar_map_inverse=twisted_inverse)
     assert check.passed
+
+
+@pytest.mark.parametrize("call", [
+    lambda: stable_pi_so_mod_u(2.5),
+    lambda: stable_pi_so_mod_u(True),
+    lambda: standard_sphere(None, 1),
+    lambda: standard_sphere(1.5, 2),
+    lambda: standard_sphere(True, 1),
+    lambda: equivariant_normal_framing_class("a", 2),
+    lambda: equivariant_normal_framing_class(1.5, 2),
+    lambda: psi_flip(1.0),
+    lambda: psi_flip(False),
+    lambda: verify_framing_reversal_identity(samples=2.5),
+    lambda: verify_framing_reversal_identity(seed=1.5),
+    lambda: verify_framing_reversal_identity(tolerance="x"),
+    lambda: verify_framing_reversal_identity(tolerance=True),
+], ids=["pi-float", "pi-bool", "sphere-none", "sphere-float", "sphere-bool",
+        "framing-str", "framing-float", "flip-float", "flip-bool", "samples-float",
+        "seed-float", "tolerance-str", "tolerance-bool"])
+def test_non_integer_arguments_are_bad_arguments(call):
+    with pytest.raises(BadArgument):
+        call()
 
 
 def test_gluing_check_argument_validation():
