@@ -355,11 +355,7 @@ QUADRIC_Q3 = "quadric Q^3"
 S4_X_S2 = "S^4 x S^2"
 
 
-def recognize_diffeotype(
-    data: FixedPointData,
-    profile: HomologyProfile,
-    context: Mapping[str, str] | None = None,
-) -> str | None:
+def recognize_diffeotype(data: FixedPointData, profile: HomologyProfile) -> str | None:
     """Name the diffeomorphism type when one of the recognition rules applies.
 
     Two rules are implemented; anything else returns None rather than
@@ -370,16 +366,14 @@ def recognize_diffeotype(
     * data marked as the fiber connect sum of two standard 6-spheres
       (labels construction = "kustarev-sum", summands = "S^6,S^6") is
       S^4 x S^2.
-
-    `context` defaults to the dataset's own labels.
     """
     if profile is None:
         raise MissingProfile("diffeotype recognition needs a homology profile")
     # the two rules are mutually exclusive (case-F rows have nonzero weight
     # sums, sphere-sum rows sum to zero), so the cheap provenance check goes
     # first and spares sum data a classification pass
-    ctx = dict(context) if context is not None else dict(data.labels)
-    if ctx.get("construction") == "kustarev-sum" and ctx.get("summands") == "S^6,S^6":
+    labels = data.labels
+    if labels.get("construction") == "kustarev-sum" and labels.get("summands") == "S^6,S^6":
         return S4_X_S2
     if len(data.points) == 4:
         result = classify(data)

@@ -19,9 +19,9 @@ once, as its edges and its component labelling, and one union-find pass
 extends a labelling by the edges of a choice.
 
 Refusal comes first. In ascending order, each magnitude's number of
-distinct pairings is found: its tables are counted (memoized, and only up
-to cap + 1) when its k positive occurrences have more than cap + 1 orders
-(k!) and no point carries both +m and -m, and enumerated otherwise. A
+distinct pairings is found by one rule: it is enumerated when some point
+carries both +m and -m (only then can two tables be one pairing), and
+its tables are counted otherwise (memoized, and only up to cap + 1). A
 magnitude with more than cap pairings is refused for itself; once the
 running product passes the cap, the data is refused overall. Only then
 are the counted magnitudes enumerated. One row-fill generator serves
@@ -100,11 +100,14 @@ class ConnectivityVerdict(Enum):
 
 def make_graph(vertices, edges) -> Multigraph:
     """Canonicalize raw (u, v, label) triples into a Multigraph; the
-    vertices must be distinct and every edge must join two of them."""
+    vertices must be distinct, every edge must join two of them and every
+    label must be a positive integer."""
     verts = tuple(vertices)
     canon = tuple((u, v, label) if u <= v else (v, u, label) for u, v, label in edges)
-    if len(set(verts)) < len(verts) or not {x for u, v, _ in canon for x in (u, v)} <= set(verts):
-        raise BadArgument("make_graph needs distinct vertices and edges between them")
+    if (len(set(verts)) < len(verts) or not {x for u, v, _ in canon for x in (u, v)} <= set(verts)
+            or not all(_is_int(label) and label > 0 for _, _, label in canon)):
+        raise BadArgument("make_graph needs distinct vertices, edges between them "
+                          "and positive integer labels")
     return _graphs(verts, [[canon]])[0]
 
 
@@ -258,17 +261,17 @@ def build_multigraphs(data: FixedPointData, cap: int = DEFAULT_MATCHING_CAP) -> 
             raise UnpairableWeights(
                 f"weight magnitude {m}: {plus} positive vs {minus} negative occurrences")
     # every magnitude's number of distinct pairings, before any counted one
-    # is enumerated: tables are counted where the k positive occurrences
-    # have more than cap + 1 orders and no point carries both +m and -m
-    # (then distinct tables are distinct pairings); the rest are enumerated
+    # is enumerated: a magnitude is enumerated only where some point
+    # carries both +m and -m (then two tables can be one pairing); every
+    # other one has its tables counted, since they are its pairings
     choices: dict[int, list[tuple]] = {}
     total = 1
     for m in sorted(pos):
-        if factorial(sum(pos[m].values())) > cap + 1 and not pos[m].keys() & neg[m].keys():
-            count = _table_count(list(pos[m].values()), list(neg[m].values()), cap + 1)
-        else:
+        if pos[m].keys() & neg[m].keys():
             choices[m] = _distinct_pairings(pos[m], neg[m], cap)
             count = len(choices[m])
+        else:
+            count = _table_count(list(pos[m].values()), list(neg[m].values()), cap + 1)
         if count > cap:
             raise CapExceeded(f"more than {cap} pairings for one weight magnitude")
         total *= count

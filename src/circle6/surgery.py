@@ -120,7 +120,10 @@ Z2Class = int
 def rotation_loop_class(speeds: Iterable[int]) -> Z2Class:
     """Class in pi_1 of the rotation group of a block-diagonal loop of 2x2
     rotations at the given integer speeds: the parity of their sum."""
-    return sum(speeds) % 2
+    ks = tuple(speeds) if isinstance(speeds, Iterable) else None
+    if ks is None or not all(map(_is_int, ks)):
+        raise BadArgument(f"rotation speeds must be integers, got {speeds!r}")
+    return sum(ks) % 2
 
 
 def psi_flip(normal_class: Z2Class) -> Z2Class:
@@ -160,13 +163,13 @@ def equivariant_normal_framing_class(a: int, b: int) -> Z2Class:
 # the sum itself
 # ---------------------------------------------------------------------------
 
-def standard_sphere(a: int, b: int, names: tuple[str, str] = ("p1", "p2")) -> FixedPointData:
+def standard_sphere(a: int, b: int) -> FixedPointData:
     """Fixed-point data of the standard weight-(a, b) circle action on the
     6-sphere: two fixed points with opposite weight multisets {a, b, -a-b}
     and {-a, -b, a+b}, with the sphere's homology profile attached."""
     _check_sphere_weights(a, b)
-    pts = (FixedPoint(names[0], (a, b, -a - b)),
-           FixedPoint(names[1], (-a, -b, a + b)))
+    pts = (FixedPoint("p1", (a, b, -a - b)),
+           FixedPoint("p2", (-a, -b, a + b)))
     return FixedPointData(3, pts, homology=SPHERE_PROFILE)
 
 
@@ -242,6 +245,8 @@ def kustarev_sum(
     h2 = h2 if h2 is not None else d2.homology
     if h1 is None or h2 is None:
         raise MissingProfile("both summands need a homology profile")
+    if not (isinstance(h1, HomologyProfile) and isinstance(h2, HomologyProfile)):
+        raise BadArgument(f"homology profiles must be HomologyProfile values, got {h1!r} and {h2!r}")
     adm = kustarev_admissible(DimensionPair(d1.n, 1))
     if not adm.exists:
         raise NotAdmissible(

@@ -405,12 +405,8 @@ def test_sum_provenance_is_recognized():
                 labels={"construction": "kustarev-sum", "summands": "S^6,S^6"})
     profile = HomologyProfile(True, 1, 0, True)
     assert recognize_diffeotype(d, profile) == S4_X_S2
-    # context can also be passed explicitly, overriding the labels
     bare = dataset(3, [(p.name, p.weights) for p in d.points])
     assert recognize_diffeotype(bare, profile) is None
-    assert recognize_diffeotype(
-        bare, profile,
-        context={"construction": "kustarev-sum", "summands": "S^6,S^6"}) == S4_X_S2
 
 
 def test_recognition_needs_a_profile():

@@ -370,7 +370,8 @@ def test_make_graph_canonicalizes_edges_and_agrees_with_networkx():
 
 @pytest.mark.parametrize("vertices, edges", [
     (["a", "a"], []), (["a", "b", "a"], [("a", "b", 1)]), (["a"], [("a", "b", 1)]),
-    ([], [("a", "a", 2)])])
+    ([], [("a", "a", 2)]), (["a"], [("a", "a", "x")]), (["a"], [("a", "a", 1.0)]),
+    (["a"], [("a", "a", True)]), (["a"], [("a", "a", 0)])])
 def test_make_graph_refuses_repeated_vertices_and_foreign_endpoints(vertices, edges):
     with pytest.raises(BadArgument):
         make_graph(vertices, edges)
@@ -451,13 +452,14 @@ def _sphere_chain(length):
 
 
 def _recording_enumerator(monkeypatch):
-    """Monkeypatch `_distinct_pairings` to record the positive occurrence
-    counts of every magnitude it enumerates."""
+    """Monkeypatch `_distinct_pairings` to record, for every magnitude it
+    enumerates, the positive occurrence counts and whether some point
+    carries both +m and -m."""
     calls = []
     original = multigraph._distinct_pairings
 
     def recording(pos, neg, cap):
-        calls.append(sorted(pos.values()))
+        calls.append((sorted(pos.values()), bool(pos.keys() & neg.keys())))
         return original(pos, neg, cap)
 
     monkeypatch.setattr(multigraph, "_distinct_pairings", recording)
@@ -479,7 +481,9 @@ def test_sphere_chain_is_refused_by_counting_not_enumerating(length, monkeypatch
 # sides) and its number of tables: 3 points of (1, 1, 1) against 3 of
 # (-1, -1, -1) have 55, 2 against 2 have 4; (1, 2, 2) twice against
 # (-1, -2, -2) twice have 2 pairings of magnitude 1, then 3 of magnitude 2,
-# the one counted
+# the one counted; (1, -1, 2) twice against (1, -1, -2) twice have 17
+# pairings of magnitude 1, enumerated since every point carries both +1 and
+# -1, then 2 tables of magnitude 2, counted
 _COUNTED = [
     (dataset(3, [(f"a{i}", (1, 1, 1)) for i in range(3)]
              + [(f"b{i}", (-1, -1, -1)) for i in range(3)]), [3, 3, 3], 55),
@@ -487,6 +491,8 @@ _COUNTED = [
              + [(f"b{i}", (-1, -1, -1)) for i in range(2)]), [3, 3], 4),
     (dataset(3, [("x", (1, 2, 2)), ("z", (1, 2, 2)), ("y", (-1, -2, -2)),
                  ("w", (-1, -2, -2))]), [2, 2], 3),
+    (dataset(3, [("a0", (1, -1, 2)), ("a1", (1, -1, 2)), ("b0", (1, -1, -2)),
+                 ("b1", (1, -1, -2))]), [1, 1], 2),
 ]
 
 
@@ -500,15 +506,16 @@ def test_refusals_at_the_counted_boundary_match_the_occurrence_enumerator(
         calls.clear()
         outcome = _outcome(build_multigraphs, data, cap)
         assert outcome == _outcome(_occurrence_graphs, data, cap)
-        # a refusal never enumerates the counted magnitude
+        # a refusal never enumerates the counted magnitude, and enumerates
+        # only magnitudes where some point carries both +m and -m
         if isinstance(outcome, str):
-            assert rows not in calls
+            assert rows not in [counts for counts, _ in calls]
+            assert all(overlap for _, overlap in calls)
 
 
 def test_a_counted_magnitude_is_not_enumerated_when_a_later_one_passes_the_cap(monkeypatch):
     # magnitude 1 (9 positive occurrences) is counted and fits the cap;
-    # magnitude 2 (4 occurrences, too few to count) carries the product
-    # past it
+    # magnitude 2 (4 occurrences, also counted) carries the product past it
     data = standard_sphere(1, 1)
     for a, b in [(1, 1)] * 3 + [(1, 3)]:
         data = kustarev_sum(data, None, standard_sphere(a, b), None).data
@@ -523,7 +530,7 @@ def test_a_counted_magnitude_is_not_enumerated_when_a_later_one_passes_the_cap(m
     with pytest.raises(CapExceeded) as exc:
         build_multigraphs(data)
     assert str(exc.value) == "more than 10000 distinct pairings overall"
-    assert calls == [sorted(rows[2].values())]
+    assert calls == []
 
 
 # ---- linear model and the obstruction -------------------------------------

@@ -323,9 +323,14 @@ def test_phase_twisted_collar_is_the_same_map():
     lambda: verify_framing_reversal_identity(seed=1.5),
     lambda: verify_framing_reversal_identity(tolerance="x"),
     lambda: verify_framing_reversal_identity(tolerance=True),
+    lambda: rotation_loop_class((1.5, 2)),
+    lambda: rotation_loop_class("ab"),
+    lambda: rotation_loop_class(3),
+    lambda: kustarev_sum(standard_sphere(1, 1), "x", standard_sphere(1, 1), None),
 ], ids=["pi-float", "pi-bool", "sphere-none", "sphere-float", "sphere-bool",
         "framing-str", "framing-float", "flip-float", "flip-bool", "samples-float",
-        "seed-float", "tolerance-str", "tolerance-bool"])
+        "seed-float", "tolerance-str", "tolerance-bool", "loop-float", "loop-str",
+        "loop-int", "sum-profile-str"])
 def test_non_integer_arguments_are_bad_arguments(call):
     with pytest.raises(BadArgument):
         call()
