@@ -38,6 +38,9 @@ _RANGE_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
 # ChernReport fields a sweep may assert on, all exact
 _SWEEP_INVARIANTS = ("c1_cubed", "todd", "c1c2", "euler")
 
+# every family parameter name, first seen first: the sweep's range flags
+_PARAM_NAMES = tuple(dict.fromkeys(name for tag in CaseTag for name in param_names(tag)))
+
 
 def _parse_range(text: str) -> range:
     m = _RANGE_RE.match(text.strip())
@@ -137,10 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate a family over parameter ranges and "
                             "check exact assertions")
     p.add_argument("--case", type=_parse_case, required=True)
-    p.add_argument("--a", type=_parse_range, default=None, metavar="LO..HI")
-    p.add_argument("--b", type=_parse_range, default=None, metavar="LO..HI")
-    p.add_argument("--c", type=_parse_range, default=None, metavar="LO..HI")
-    p.add_argument("--d", type=_parse_range, default=None, metavar="LO..HI")
+    for name in _PARAM_NAMES:
+        p.add_argument(f"--{name}", type=_parse_range, default=None, metavar="LO..HI")
     p.add_argument("--assert", dest="assertions", type=_parse_assertion,
                    action="append", default=[], metavar="NAME=VALUE",
                    help="exact expectation, e.g. c1_cubed=-2 or c1_cubed=1/2; "
@@ -261,11 +262,12 @@ def _cmd_sum(args):
 
 
 def _cmd_admissible(args):
-    adm = kustarev_admissible(DimensionPair(args.n, args.k))
+    dims = DimensionPair(args.n, args.k)
+    adm = kustarev_admissible(dims)
     return 0, {
         "n": args.n,
         "k": args.k,
-        "slice_dim": 2 * args.n - args.k,
+        "slice_dim": dims.slice_dim,
         "exists": adm.exists,
         "unique": adm.unique,
     }
@@ -291,7 +293,7 @@ def _cmd_verify_gluing(args):
 
 def _case_ranges(args, tag: CaseTag) -> list[range]:
     wanted = param_names(tag)
-    given = {"a": args.a, "b": args.b, "c": args.c, "d": args.d}
+    given = {name: getattr(args, name) for name in _PARAM_NAMES}
     missing = [name for name in wanted if given[name] is None]
     extra = [name for name, rng in given.items() if rng is not None and name not in wanted]
     if missing or extra:

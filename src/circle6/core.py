@@ -27,7 +27,7 @@ denominator), rendered as "p/q" strings in JSON output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Mapping
@@ -190,10 +190,13 @@ def validate(data: FixedPointData) -> list[Violation]:
 
 
 def _require_valid(data: FixedPointData) -> None:
-    """Raise InvalidData carrying every violation unless `data` is valid.
+    """Raise InvalidData carrying every violation unless `data` is valid
+    (BadArgument when it is not a dataset at all).
 
     The one validation pass of each public operation on a dataset argument.
     """
+    if not isinstance(data, FixedPointData):
+        raise BadArgument(f"expected a FixedPointData dataset, got {type(data).__name__}")
     violations = validate(data)
     if violations:
         raise InvalidData(violations)
@@ -207,6 +210,14 @@ def format_rational(x: Fraction | int) -> str:
     """Render an exact rational as "p/q" (integers as "p/1")."""
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
+
+
+def _json_fields(result) -> dict:
+    """A dataclass value's fields in declaration order, JSON-ready: tuples
+    as lists and exact rationals as "p/q" strings."""
+    return {key: list(v) if isinstance(v, tuple)
+            else format_rational(v) if isinstance(v, Fraction) else v
+            for key, v in vars(result).items()}
 
 
 def parse_rational(text: str) -> Fraction:
@@ -234,13 +245,7 @@ def document(data: FixedPointData) -> dict:
         "fixed_points": [{"name": p.name, "weights": list(p.weights)} for p in data.points],
     }
     if data.homology is not None:
-        h = data.homology
-        doc["homology"] = {
-            "simply_connected": h.simply_connected,
-            "b2": h.b2,
-            "b3": h.b3,
-            "torsion_free": h.torsion_free,
-        }
+        doc["homology"] = _json_fields(data.homology)
     if data.labels:
         doc["labels"] = dict(data.labels)
     return doc
@@ -267,7 +272,7 @@ def save(data: FixedPointData, target: str | Path | IO[str]) -> None:
 
 
 _TOP_KEYS = {"n", "fixed_points", "homology", "labels"}
-_HOMOLOGY_KEYS = {"simply_connected", "b2", "b3", "torsion_free"}
+_HOMOLOGY_KEYS = {f.name for f in fields(HomologyProfile)}
 
 
 def _parse_document(doc) -> FixedPointData:
@@ -299,12 +304,7 @@ def _parse_document(doc) -> FixedPointData:
             raise ParseError("homology flags must be booleans")
         if not _is_int(raw_h["b2"]) or not _is_int(raw_h["b3"]):
             raise ParseError("homology Betti numbers must be integers")
-        homology = HomologyProfile(
-            simply_connected=raw_h["simply_connected"],
-            b2=raw_h["b2"],
-            b3=raw_h["b3"],
-            torsion_free=raw_h["torsion_free"],
-        )
+        homology = HomologyProfile(**raw_h)
     labels: dict[str, str] = {}
     if "labels" in doc:
         raw_l = doc["labels"]

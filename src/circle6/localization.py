@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .core import FixedPointData, _require_valid, format_rational
+from .core import FixedPointData, _json_fields, _require_valid
 from .errors import NonIntegralChernNumber, WrongDimension
 
 
@@ -78,13 +78,7 @@ class ChernReport:
     chi_y_coeffs: tuple[int, ...]
 
     def as_json_dict(self) -> dict:
-        return {
-            "c1_cubed": format_rational(self.c1_cubed),
-            "todd": self.todd,
-            "c1c2": self.c1c2,
-            "euler": self.euler,
-            "chi_y_coeffs": list(self.chi_y_coeffs),
-        }
+        return _json_fields(self)
 
 
 def chern_report(data: FixedPointData) -> ChernReport:

@@ -8,31 +8,36 @@ The pairing is usually not unique, so `build_multigraphs` enumerates all
 of them (deduplicated by resulting edge multiset) and
 `connectivity_verdict` summarizes connectivity over the whole list.
 
-Occurrences at one point are interchangeable, so the pairings of one
-magnitude are enumerated as point-level contingency tables (positive
-points by negative points) in lexicographic order. The graphs form the
-product of the per-magnitude choices, magnitudes ascending and the
-largest varying fastest; the magnitudes paired one way make one leading
-level with one choice. One breadth-first fold over that product builds
-every graph, `make_graph`'s included: it keeps each prefix of choices
-once, as its edges and its component labelling, and one union-find pass
-extends a labelling by the edges of a choice.
+Occurrences at one point are interchangeable, so each magnitude m is
+read once into one record: the sorted (point, occurrences) pairs carrying
++m (rows) and -m (columns). Its pairings are the contingency tables with
+those margins, in lexicographic order. A magnitude has exactly one
+distinct pairing iff it has one row or one column: with two of each, some
+table has cells (i, j) and (i', j'), i != i' and j != j', and moving them
+to (i, j') and (i', j) changes the edge multiset, even where points carry
+both signs. A forced magnitude is never walked: each cell takes the
+smaller margin, in one leading level of one choice. The graphs form the
+product of the other magnitudes' choices, ascending, the largest varying
+fastest. One breadth-first fold builds every graph, `make_graph`'s
+included: it keeps each prefix of choices once, as its edges and its
+component labelling, and one union-find pass extends a labelling by the
+edges of a choice.
 
-Refusal comes first. In ascending order, each magnitude's number of
-distinct pairings is found by one rule: it is enumerated when some point
-carries both +m and -m (only then can two tables be one pairing), and
-its tables are counted otherwise (memoized, and only up to cap + 1). A
-magnitude with more than cap pairings is refused for itself; once the
-running product passes the cap, the data is refused overall. Only then
-are the counted magnitudes enumerated. One row-fill generator serves
-both the count and the enumeration, and every walk keeps its own stack,
-so data with thousands of points or magnitudes cannot exhaust the
-interpreter's recursion limit.
+Refusal comes first. In ascending order, a forced magnitude counts 1;
+another is enumerated when some point carries both +m and -m (only then
+can two tables be one pairing), and has its tables counted otherwise
+(memoized, and only up to cap + 1). A magnitude with more than cap
+pairings is refused for itself; once the running product passes the cap,
+the data is refused overall. Only then are the counted magnitudes
+enumerated. One row-fill generator serves both walks, and every walk
+keeps its own stack, so data with thousands of points or magnitudes
+cannot exhaust the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
@@ -111,33 +116,29 @@ def make_graph(vertices, edges) -> Multigraph:
     return _graphs(verts, [[canon]])[0]
 
 
-def _distinct_pairings(pos: dict[str, int], neg: dict[str, int], cap: int) -> list[tuple]:
+def _distinct_pairings(rows: list, cols: list, cap: int) -> list[tuple]:
     """Distinct ways to pair each positive occurrence with a negative one,
-    given the occurrence counts at each point; at most cap + 1 of them.
+    given one magnitude's record; at most cap + 1 of them.
 
     Returns canonical edge multisets (sorted tuples of vertex pairs) in
-    lexicographic order of point-level contingency tables: rows are the
-    sorted positive points with their multiplicities, columns the sorted
-    negative points, and each row in turn takes a nondecreasing multiset
-    of the remaining partners, smallest first. That is the first-seen
-    order of pairing occurrences one at a time. Distinct tables give
-    distinct edge multisets unless a point carries both +m and -m (then
-    (p, q) and (q, p) are one edge), so the dedup by key merges only
-    those.
+    lexicographic order of the contingency tables on the record's rows and
+    columns, each row in turn taking a nondecreasing multiset of the
+    remaining partners, smallest first: the first-seen order of pairing
+    occurrences one at a time. Distinct tables give distinct edge
+    multisets unless a point carries both +m and -m (then (p, q) and
+    (q, p) are one edge), so the dedup by key merges only those.
 
     A depth-first search over the rows on an explicit stack of `_fills`
     generators; the last row takes what is left. The walk stops once it
     holds more than `cap` keys, which is all a caller needs to refuse.
     """
-    rows = sorted(pos.items())
-    cols = sorted(neg)
     # each cell's pair as a 1-tuple, so that cell * units repeats it
-    cells = [[((p, q) if p <= q else (q, p),) for q in cols] for p, _ in rows]
+    cells = [[((p, q) if p <= q else (q, p),) for q, _ in cols] for p, _ in rows]
     last = len(rows) - 1
     out: dict[tuple, None] = {}
     # per row being filled: its fills, the column sums left before it and
     # the pairs of the rows above it
-    rem = tuple(neg[q] for q in cols)
+    rem = tuple(c for _, c in cols)
     stack = [(_fills(rows[0][1], rem), rem, ())]
     while stack:
         fills, above, acc = stack[-1]
@@ -173,8 +174,6 @@ def _table_count(rows: list[int], cols: list[int], limit: int) -> int:
     last = len(rows) - 1
     memo: dict[tuple, int] = {}
     start = tuple(sorted(c for c in cols if c))
-    if last < 1 or len(start) < 2:     # one way: the rows take what is left
-        return min(1, limit)
     stack = [[0, start, _fills(rows[0], start), 0]]
     while True:
         frame = stack[-1]
@@ -229,16 +228,23 @@ def _fills(take: int, cols: tuple[int, ...]):
             return
 
 
-def _occurrences(data: FixedPointData) -> tuple[dict, dict]:
-    """Occurrences of +m and of -m at each point, for every magnitude m,
-    as magnitude -> point name -> count."""
-    pos: dict[int, dict[str, int]] = {}
-    neg: dict[int, dict[str, int]] = {}
+def _magnitudes(data: FixedPointData) -> list[tuple[int, list, list]]:
+    """Each weight magnitude m, ascending, as (m, rows, cols): the sorted (point,
+    occurrences) pairs carrying +m and -m. UnpairableWeights where their totals differ."""
+    at: dict[int, dict[str, int]] = {}
     for p in data.points:
         for w in p.weights:
-            at = (pos if w > 0 else neg).setdefault(abs(w), {})
-            at[p.name] = at.get(p.name, 0) + 1
-    return pos, neg
+            side = at.setdefault(w, {})
+            side[p.name] = side.get(p.name, 0) + 1
+    out = []
+    for m in sorted({abs(w) for w in at}):
+        pos, neg = at.get(m, {}), at.get(-m, {})
+        plus, minus = sum(pos.values()), sum(neg.values())
+        if plus != minus:
+            raise UnpairableWeights(
+                f"weight magnitude {m}: {plus} positive vs {minus} negative occurrences")
+        out.append((m, sorted(pos.items()), sorted(neg.items())))
+    return out
 
 
 def build_multigraphs(data: FixedPointData, cap: int = DEFAULT_MATCHING_CAP) -> list[Multigraph]:
@@ -254,24 +260,25 @@ def build_multigraphs(data: FixedPointData, cap: int = DEFAULT_MATCHING_CAP) -> 
     if not _is_int(cap) or cap < 0:
         raise BadArgument(f"cap must be a nonnegative integer, got {cap!r}")
     _require_valid(data)
-    pos, neg = _occurrences(data)
-    for m in sorted(set(pos) | set(neg)):
-        plus, minus = sum(pos.get(m, {}).values()), sum(neg.get(m, {}).values())
-        if plus != minus:
-            raise UnpairableWeights(
-                f"weight magnitude {m}: {plus} positive vs {minus} negative occurrences")
+    magnitudes = _magnitudes(data)
     # every magnitude's number of distinct pairings, before any counted one
-    # is enumerated: a magnitude is enumerated only where some point
-    # carries both +m and -m (then two tables can be one pairing); every
-    # other one has its tables counted, since they are its pairings
+    # is enumerated: a forced one (one row or one column) has one, its cells
+    # taking the smaller margins into the leading level of one choice; any
+    # other is a level of its own, enumerated here where some point carries
+    # both +m and -m (then two tables can be one pairing), else counted
+    single: list[tuple[str, str, int]] = []
     choices: dict[int, list[tuple]] = {}
     total = 1
-    for m in sorted(pos):
-        if pos[m].keys() & neg[m].keys():
-            choices[m] = _distinct_pairings(pos[m], neg[m], cap)
+    for m, rows, cols in magnitudes:
+        if len(rows) == 1 or len(cols) == 1:
+            single += [(p, q, m) if p <= q else (q, p, m)
+                       for p, r in rows for q, c in cols for _ in range(min(r, c))]
+            count = 1
+        elif {p for p, _ in rows} & {q for q, _ in cols}:
+            choices[m] = _distinct_pairings(rows, cols, cap)
             count = len(choices[m])
         else:
-            count = _table_count(list(pos[m].values()), list(neg[m].values()), cap + 1)
+            count = _table_count([k for _, k in rows], [k for _, k in cols], cap + 1)
         if count > cap:
             raise CapExceeded(f"more than {cap} pairings for one weight magnitude")
         total *= count
@@ -279,17 +286,9 @@ def build_multigraphs(data: FixedPointData, cap: int = DEFAULT_MATCHING_CAP) -> 
             break
     if total > cap:     # also the empty pairing of a dataset with no weights
         raise CapExceeded(f"more than {cap} distinct pairings overall")
-    # the magnitudes paired one way make one leading level of one choice
-    # (empty when there are none); each other magnitude is a level
-    single: list[tuple[str, str, int]] = []
-    levels: list[list[tuple]] = []
-    for m in sorted(pos):
-        keys = choices[m] if m in choices else _distinct_pairings(pos[m], neg[m], cap)
-        triples = [tuple((u, v, m) for u, v in key) for key in keys]
-        if len(triples) == 1:
-            single += triples[0]
-        else:
-            levels.append(triples)
+    levels = [[tuple((u, v, m) for u, v in key) for key in (
+        choices[m] if m in choices else _distinct_pairings(rows, cols, cap))]
+        for m, rows, cols in magnitudes if len(rows) > 1 and len(cols) > 1]
     return _graphs(data.names(), [[tuple(single)], *levels])
 
 
@@ -376,8 +375,8 @@ def raw_pairing_count(data: FixedPointData) -> int:
     of positive occurrences of that magnitude; useful as a brute-force
     cross-check of the enumerator.
     """
-    pos, _ = _occurrences(data)
-    return prod(factorial(sum(at.values())) for at in pos.values())
+    return prod(map(factorial, Counter(w for p in data.points for w in p.weights
+                                       if w > 0).values()))
 
 
 def connectivity_verdict(graphs: list[Multigraph]) -> ConnectivityVerdict:

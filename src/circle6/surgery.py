@@ -38,7 +38,7 @@ from numbers import Real
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .core import (FixedPoint, FixedPointData, HomologyProfile, SPHERE_PROFILE,
-                   Violation, _is_int, _require_valid, disjoint_union)
+                   Violation, _is_int, _json_fields, _require_valid, disjoint_union)
 from .classifier import recognize_diffeotype
 from .errors import (BadArgument, BadDimensions, InvalidData, MissingProfile,
                      NotAdmissible, NotSimplyConnected, WrongDimension)
@@ -199,13 +199,7 @@ class SumReport:
     diffeotype: str | None
 
     def as_json_dict(self) -> dict:
-        return {
-            "n": self.n, "k": self.k,
-            "exists": self.exists, "unique": self.unique,
-            "b2": self.b2, "b3": self.b3, "euler": self.euler,
-            "summands": list(self.summands),
-            "diffeotype": self.diffeotype,
-        }
+        return _json_fields(self)
 
 
 @dataclass(frozen=True)
@@ -322,11 +316,7 @@ class GluingCheck:
         return self.passed
 
     def as_json_dict(self) -> dict:
-        return {
-            "passed": self.passed, "samples": self.samples,
-            "tolerance": self.tolerance,
-            "worst_deviation": self.worst_deviation, "seed": self.seed,
-        }
+        return _json_fields(self)
 
 
 def verify_framing_reversal_identity(

@@ -15,6 +15,11 @@ from circle6 import (
     ParseError,
     SPHERE_PROFILE,
     ValidationError,
+    build_multigraphs,
+    c1_cubed,
+    chern_report,
+    chi_y_profile,
+    classify,
     dataset,
     disjoint_union,
     document,
@@ -23,6 +28,7 @@ from circle6 import (
     negate_all,
     parse_rational,
     save,
+    todd_genus,
     validate,
 )
 from conftest import sphere_data, sphere_points
@@ -94,6 +100,15 @@ def test_validate_is_order_independent_up_to_location():
         # DuplicateName depends on which occurrence comes second, but the
         # (rule, point) pairs agree because the duplicates share a name
         assert got == baseline
+
+
+@pytest.mark.parametrize("junk", [None, "x", 1.5, 0, [], {"n": 3}, sphere_points(1, 2)],
+                         ids=repr)
+@pytest.mark.parametrize("op", [c1_cubed, chi_y_profile, todd_genus, chern_report, classify,
+                                build_multigraphs], ids=lambda op: op.__name__)
+def test_an_argument_that_is_not_a_dataset_is_a_bad_argument(op, junk):
+    with pytest.raises(BadArgument, match="FixedPointData"):
+        op(junk)
 
 
 # ---- JSON I/O ------------------------------------------------------------

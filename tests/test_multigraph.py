@@ -139,13 +139,16 @@ def test_long_sphere_chain_is_refused_not_a_recursion_error():
         build_multigraphs(data, cap=1_000)
 
 
-def test_union_of_700_magnitude_disjoint_spheres():
-    # 2100 magnitudes, each paired one way: one graph with 700 components
+def test_union_of_700_magnitude_disjoint_spheres(monkeypatch):
+    # 2100 magnitudes, each forced (one row and one column): one graph with
+    # 700 components, and neither table walker runs
     rows = []
     for i in range(700):
         a, b = 4 * i + 1, 4 * i + 2
         rows += [(f"s{i}+", (a, b, -a - b)), (f"s{i}-", (-a, -b, a + b))]
+    calls = _recording_enumerator(monkeypatch)
     graphs = build_multigraphs(dataset(3, rows))
+    assert calls == []
     assert len(graphs) == 1
     assert len(graphs[0].components) == 700
     assert connectivity_verdict(graphs) is ConnectivityVerdict.NEVER_CONNECTED
@@ -291,6 +294,12 @@ def _differential_inputs():
         yield negate_all(gen_family(jang_case("C", a)))
     yield dataset(3, [("p1", (1, -1, 2)), ("p2", (-1, 1, -2)), ("p3", (1, -1, 1)),
                       ("p4", (-1, 1, -1))])
+    # magnitude 2 is forced with one row against two columns (one column
+    # against two rows once negated), next to an enumerated magnitude 1
+    forced = dataset(3, [("a", (2, 2, 1)), ("b", (-2, 1, -1)), ("c", (-2, -1, 3)),
+                         ("d", (-3, 1, -1))])
+    yield forced
+    yield negate_all(forced)
     for k in (2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4):
         data = standard_sphere(rng.randint(1, 3), rng.randint(1, 3))
         for _ in range(k - 1):
@@ -299,7 +308,8 @@ def _differential_inputs():
         yield data
 
 
-def test_graph_lists_match_the_occurrence_enumerator():
+def test_graph_lists_match_the_occurrence_enumerator(monkeypatch):
+    calls = _recording_enumerator(monkeypatch)
     for data in _differential_inputs():
         want = _occurrence_graphs(data, 100_000)
         assert build_multigraphs(data, cap=100_000) == want
@@ -310,6 +320,33 @@ def test_graph_lists_match_the_occurrence_enumerator():
             if cap < n:
                 assert _outcome(build_multigraphs, data, cap) == _outcome(
                     _occurrence_graphs, data, cap)
+    # no walker sees a forced magnitude (one row or one column)
+    assert calls and all(len(r) > 1 and len(c) > 1 for _, r, c, _ in calls)
+
+
+@st.composite
+def _shared_margins(draw):
+    """One magnitude's record: (point, occurrences) rows and columns with
+    equal totals, their names drawn from one pool so that a point often
+    carries both signs."""
+    counts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    total = sum(counts)
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1), max_size=3))) if total > 1 else []
+    bounds = [0, *cuts, total]
+    split = [b - a for a, b in zip(bounds, bounds[1:])]
+    row_names = draw(st.permutations("pqrs"))[:len(counts)]
+    col_names = draw(st.permutations("pqrs"))[:len(split)]
+    return sorted(zip(row_names, counts)), sorted(zip(col_names, split))
+
+
+@settings(max_examples=150, deadline=None)
+@given(margins=_shared_margins())
+def test_one_pairing_exactly_when_one_row_or_one_column(margins):
+    rows, cols = margins
+    want = _occurrence_pairings([p for p, k in rows for _ in range(k)],
+                                [q for q, k in cols for _ in range(k)], 10**9)
+    assert _distinct_pairings(rows, cols, 10**9) == want
+    assert (len(want) == 1) == (len(rows) == 1 or len(cols) == 1)
 
 
 def _point_rows(halves):
@@ -388,8 +425,8 @@ def test_table_count_matches_the_enumerator_on_small_margins():
             for cols in product(range(1, 4), repeat=c):
                 if sum(rows) != sum(cols):
                     continue
-                pos = {f"a{i}": count for i, count in enumerate(rows)}
-                neg = {f"b{j}": count for j, count in enumerate(cols)}
+                pos = [(f"a{i}", count) for i, count in enumerate(rows)]
+                neg = [(f"b{j}", count) for j, count in enumerate(cols)]
                 tables = len(_distinct_pairings(pos, neg, cap=10**9))
                 assert _table_count(list(rows), list(cols), 10**9) == tables, (rows, cols)
                 checked += 1
@@ -452,18 +489,30 @@ def _sphere_chain(length):
 
 
 def _recording_enumerator(monkeypatch):
-    """Monkeypatch `_distinct_pairings` to record, for every magnitude it
-    enumerates, the positive occurrence counts and whether some point
-    carries both +m and -m."""
+    """Monkeypatch both table walkers to record every magnitude they walk:
+    `_distinct_pairings` as ("enumerate", row counts, column counts,
+    whether some point carries both +m and -m) and `_table_count` as
+    ("count", row counts, column counts, None), the counts sorted."""
     calls = []
-    original = multigraph._distinct_pairings
+    enumerate_, count = multigraph._distinct_pairings, multigraph._table_count
 
-    def recording(pos, neg, cap):
-        calls.append((sorted(pos.values()), bool(pos.keys() & neg.keys())))
-        return original(pos, neg, cap)
+    def enumerating(rows, cols, cap):
+        overlap = bool({p for p, _ in rows} & {q for q, _ in cols})
+        calls.append(("enumerate", sorted(k for _, k in rows), sorted(k for _, k in cols),
+                      overlap))
+        return enumerate_(rows, cols, cap)
 
-    monkeypatch.setattr(multigraph, "_distinct_pairings", recording)
+    def counting(rows, cols, limit):
+        calls.append(("count", sorted(rows), sorted(cols), None))
+        return count(rows, cols, limit)
+
+    monkeypatch.setattr(multigraph, "_distinct_pairings", enumerating)
+    monkeypatch.setattr(multigraph, "_table_count", counting)
     return calls
+
+
+def _enumerated(calls):
+    return [call for call in calls if call[0] == "enumerate"]
 
 
 @pytest.mark.parametrize("length", [6, 7])
@@ -474,7 +523,7 @@ def test_sphere_chain_is_refused_by_counting_not_enumerating(length, monkeypatch
     with pytest.raises(CapExceeded) as exc:
         build_multigraphs(_sphere_chain(length))
     assert str(exc.value) == "more than 10000 pairings for one weight magnitude"
-    assert calls == []
+    assert [walker for walker, *_ in calls] == ["count"]
 
 
 # data, the occurrence counts of its counted magnitude (the same on both
@@ -509,8 +558,10 @@ def test_refusals_at_the_counted_boundary_match_the_occurrence_enumerator(
         # a refusal never enumerates the counted magnitude, and enumerates
         # only magnitudes where some point carries both +m and -m
         if isinstance(outcome, str):
-            assert rows not in [counts for counts, _ in calls]
-            assert all(overlap for _, overlap in calls)
+            assert rows not in [counts for _, counts, _, _ in _enumerated(calls)]
+            assert all(overlap for *_, overlap in _enumerated(calls))
+        # no walker sees a forced magnitude (one row or one column)
+        assert all(len(r) > 1 and len(c) > 1 for _, r, c, _ in calls)
 
 
 def test_a_counted_magnitude_is_not_enumerated_when_a_later_one_passes_the_cap(monkeypatch):
@@ -530,7 +581,7 @@ def test_a_counted_magnitude_is_not_enumerated_when_a_later_one_passes_the_cap(m
     with pytest.raises(CapExceeded) as exc:
         build_multigraphs(data)
     assert str(exc.value) == "more than 10000 distinct pairings overall"
-    assert calls == []
+    assert _enumerated(calls) == []
 
 
 # ---- linear model and the obstruction -------------------------------------
