@@ -14,20 +14,28 @@ slot. One or two "pinning" slots hold all of them: slot 0 for cases A and
 E, slot 1 for cases B, C and F, slots 0 and 2 for case D. The matcher
 derives these slots, the entries that read each parameter, and the signs
 the templates force on the pinned entries, from the templates at import
-time. For each case it then tries only the (point, weight order) choices
-for the pinning slots that those signs allow, reads the parameters off
-them, and keeps those that satisfy the case's constraints and whose
-regenerated family equals the data as a multiset of weight multisets.
+time, and checks there that every entry of a pinned slot depends only on
+the parameters that slot reads.
+
+For each case the matcher then tries only the (point, weight order)
+choices for the pinning slots that those signs allow, and reads the
+parameters off them. A choice is kept only when its slot regenerates
+itself: the template, evaluated at the parameters read off it (the other
+parameters 0), gives back that exact weight order in that slot. A true
+match always passes this self-check, and most false ones stop there. The
+matcher regenerates the whole family only for the combinations that
+remain and satisfy the case's constraints, and keeps those whose family
+equals the data as a multiset of weight multisets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, permutations, product
+from itertools import permutations, product
 from typing import Callable, Mapping
 
-from .core import FixedPointData, HomologyProfile, _is_int, _require_valid, dataset
+from .core import FixedPointData, HomologyProfile, _is_int, _require_dataset, _require_valid, dataset
 from .errors import BadParams, MissingProfile, WrongDimension, WrongPointCount
 
 
@@ -94,10 +102,11 @@ _FAMILIES: Mapping[CaseTag, tuple[tuple[str, ...], Callable[..., tuple], bool]] 
 }
 
 
-def _admissible(tag: CaseTag, params: tuple[int, ...]) -> bool:
+def _admissible(tag: CaseTag, positive: bool, params: tuple[int, ...]) -> bool:
     """The constraints of a case: parameters >= 1 where the family needs
-    them, and pairwise distinct in case A."""
-    if _FAMILIES[tag][2] and min(params) < 1:
+    them (`positive`, its flag in _FAMILIES), and pairwise distinct in
+    case A."""
+    if positive and min(params) < 1:
         return False
     return tag is not CaseTag.A_CP3 or len(set(params)) == len(params)
 
@@ -114,13 +123,13 @@ def gen_family(case: JangCase) -> FixedPointData:
     (wrong arity, non-positive entries where positivity is required, or a
     repeated value in case A).
     """
-    names, fn, _ = _FAMILIES[case.tag]
+    names, fn, positive = _FAMILIES[case.tag]
     if len(case.params) != len(names):
         raise BadParams(f"case {case.tag.value} takes parameters {names}, "
                         f"got {len(case.params)} value(s)")
     if not all(map(_is_int, case.params)):
         raise BadParams(f"parameters must be integers, got {case.params!r}")
-    if not _admissible(case.tag, case.params):
+    if not _admissible(case.tag, positive, case.params):
         raise BadParams(f"parameters {case.params} violate the constraints of case "
                         f"{case.tag.value}")
     rows = fn(*case.params)
@@ -161,31 +170,40 @@ def _forced_sign(coeffs: tuple[int, ...], const: int, positive: bool) -> int:
 
 @dataclass(frozen=True)
 class _Pin:
-    """A pinning slot: its index, the sign each of its three entries is
-    forced to have (0: free), its weight sum when that does not depend on
-    the parameters, and the parameters it reads as (entry, parameter index,
-    sign) with parameter = sign * entry."""
+    """A pinning slot: its index, the sign vectors (True: positive) its
+    entries may have given the forced signs, and the parameters it reads as
+    (entry, parameter index, sign) with parameter = sign * entry. Every
+    entry of the slot depends on these parameters alone."""
 
     slot: int
-    signs: tuple[int, int, int]
-    total: int | None
+    keys: tuple[tuple[bool, bool, bool], ...]
     reads: tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """How to recover a case's parameters: read them off the pinned slots.
-    n0 is the number of slots whose entries are all forced positive; every
-    other slot has a forced-negative entry, so it is the number of
-    all-positive points of every member (its Todd genus)."""
+    """How to match one case: its tag, template and positivity flag, and
+    the pinned slots its parameters are read off. n0 is the number of
+    slots whose entries are all forced positive; every other slot has a
+    forced-negative entry, so it is the number of all-positive points of
+    every member (its Todd genus)."""
 
+    tag: CaseTag
+    fn: Callable[..., tuple]
+    positive: bool
     pins: tuple[_Pin, ...]
     n0: int
 
 
 def _plan(tag: CaseTag) -> _Plan:
     """Pin slots greedily, each time the one whose bare entries (+-e_i,
-    constant 0) read the most unread parameters, earliest slot first."""
+    constant 0) read the most unread parameters, earliest slot first.
+
+    Raises ValueError when no entry reads some parameter directly, or when
+    a pinned slot has an entry that depends on a parameter its pin does
+    not read (the matcher's self-check needs each pinned slot to be a
+    function of its own parameters).
+    """
     names, fn, positive = _FAMILIES[tag]
     forms = _affine_forms(fn, len(names))
     bare: list[dict[int, tuple[int, int]]] = [{} for _ in forms]   # parameter -> (entry, sign)
@@ -204,55 +222,64 @@ def _plan(tag: CaseTag) -> _Plan:
                              f"{[names[i] for i in sorted(unread)]} directly")
         chosen[s] = gain
         unread -= set(gain)
+    for s, gain in chosen.items():
+        stray = {i for coeffs, _ in forms[s] for i, c in enumerate(coeffs) if c} - set(gain)
+        if stray:
+            raise ValueError(f"case {tag.value}: pinned slot {s} also reads "
+                             f"{[names[i] for i in sorted(stray)]}")
     signs = [tuple(_forced_sign(c, const, positive) for c, const in forms[s]) for s in range(4)]
-    pins = []
-    for s in sorted(chosen):
-        coeff_sum = [sum(col) for col in zip(*(c for c, _ in forms[s]))]
-        pins.append(_Pin(
-            s, signs[s], None if any(coeff_sum) else sum(const for _, const in forms[s]),
-            tuple((bare[s][i][0], i, bare[s][i][1]) for i in chosen[s])))
-    return _Plan(tuple(pins), sum(min(sg) > 0 for sg in signs))
+    pins = tuple(_Pin(s, tuple(product(*((sg > 0,) if sg else (True, False) for sg in signs[s]))),
+                      tuple((bare[s][i][0], i, bare[s][i][1]) for i in chosen[s]))
+                 for s in sorted(chosen))
+    return _Plan(tag, fn, positive, pins, sum(min(sg) > 0 for sg in signs))
 
 
 _PLANS = {tag: _plan(tag) for tag in CaseTag}
 
+# The per-case records classify loops over, grouped by the Todd genus of
+# their members: (position in CaseTag order, plan), in CaseTag order.
+_CASES_BY_TODD: dict[int, list[tuple[int, _Plan]]] = {
+    n0: [(pos, plan) for pos, plan in enumerate(_PLANS.values()) if plan.n0 == n0]
+    for n0 in {plan.n0 for plan in _PLANS.values()}}
+
 
 def _orders_by_sign(pts: tuple[tuple[int, ...], ...]):
-    """Every weight order of every point, with the point's weight sum,
-    keyed by the order's sign vector (True for a positive weight)."""
-    table: dict[tuple[bool, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    """Every weight order of every point, keyed by the order's sign vector
+    (True for a positive weight)."""
+    table: dict[tuple[bool, ...], list[tuple[int, ...]]] = {}
     for ws in pts:
-        total = sum(ws)
         signs = tuple(w > 0 for w in ws)
         for order, key in zip(permutations(ws), permutations(signs)):
-            table.setdefault(key, []).append((total, order))
+            table.setdefault(key, []).append(order)
     return table
 
 
 def _candidates(plan: _Plan, orders: dict):
     """The parameter vectors the pinning slots admit.
 
-    Any point in any weight order may fill a pinning slot unless a forced
-    sign or weight sum rules it out; the caller regenerates each candidate
-    and compares it with the data.
+    A point in a weight order fills a pinning slot only when it has the
+    slot's forced signs and regenerates itself: the template, evaluated at
+    the parameters read off that order (the others 0), gives back exactly
+    that order in the slot. Every entry of a pinned slot depends only on
+    the parameters its pin reads, so a true match always passes. The pins
+    read disjoint parameters, so their vectors combine by adding; the
+    caller regenerates each combination and compares it with the data.
     """
+    k = sum(len(pin.reads) for pin in plan.pins)
     per_pin = []
     for pin in plan.pins:
-        allowed = product(*((s > 0,) if s else (True, False) for s in pin.signs))
-        values = {tuple(sign * order[e] for e, _, sign in pin.reads)
-                  for signs in allowed for total, order in orders.get(signs, ())
-                  if pin.total is None or total == pin.total}
+        values = set()
+        for key in pin.keys:
+            for order in orders.get(key, ()):
+                params = [0] * k
+                for e, i, sign in pin.reads:
+                    params[i] = sign * order[e]
+                if plan.fn(*params)[pin.slot] == order:
+                    values.add(tuple(params))
         if not values:
             return set()
         per_pin.append(values)
-    where = [i for pin in plan.pins for _, i, _ in pin.reads]
-    found = set()
-    for combo in product(*per_pin):
-        params = [0] * len(where)
-        for i, value in zip(where, chain.from_iterable(combo)):
-            params[i] = value
-        found.add(tuple(params))
-    return found
+    return {tuple(map(sum, zip(*combo))) for combo in product(*per_pin)}
 
 
 def _canonical(rows) -> list[list[int]]:
@@ -287,9 +314,6 @@ class ClassificationResult:
         return bool(self.matches)
 
 
-_TAG_ORDER = {tag: i for i, tag in enumerate(CaseTag)}
-
-
 def classify(data: FixedPointData) -> ClassificationResult:
     """Match 4-point weight data against all six families.
 
@@ -312,21 +336,21 @@ def classify(data: FixedPointData) -> ClassificationResult:
     names_by_multiset: dict[tuple[int, ...], list[str]] = {}
     for name, ws in sorted(zip(names, rows)):
         names_by_multiset.setdefault(tuple(sorted(ws)), []).append(name)
-    found: dict[tuple[CaseTag, tuple[int, ...], bool], tuple[str, ...]] = {}
+    # keyed by case position, so sorting the keys gives CaseTag order
+    found: dict[tuple[int, tuple[int, ...], bool], tuple[CaseTag, tuple[str, ...]]] = {}
     for rev in (False, True):
         pts = rows if not rev else tuple(tuple(-w for w in ws) for ws in rows)
-        target = _canonical(pts)
         n0 = sum(1 for ws in pts if all(w > 0 for w in ws))
-        tags = [tag for tag in CaseTag if _PLANS[tag].n0 == n0]
-        if not tags:
+        cases = _CASES_BY_TODD.get(n0)
+        if not cases:
             continue
+        target = _canonical(pts)
         orders = _orders_by_sign(pts)
-        for tag in tags:
-            fn = _FAMILIES[tag][1]
-            for params in _candidates(_PLANS[tag], orders):
-                if not _admissible(tag, params):
+        for pos, plan in cases:
+            for params in _candidates(plan, orders):
+                if not _admissible(plan.tag, plan.positive, params):
                     continue
-                generated = fn(*params)
+                generated = plan.fn(*params)
                 if _canonical(generated) != target:
                     continue
                 # canonical assignment: all assignments for fixed params
@@ -339,12 +363,10 @@ def classify(data: FixedPointData) -> ClassificationResult:
                     m = tuple(sorted(-w for w in ws) if rev else sorted(ws))
                     slot_names.append(names_by_multiset[m][handed.get(m, 0)])
                     handed[m] = handed.get(m, 0) + 1
-                found[(tag, params, rev)] = tuple(slot_names)
-    ordered = sorted(found.items(),
-                     key=lambda kv: (_TAG_ORDER[kv[0][0]], kv[0][1], kv[0][2]))
+                found[(pos, params, rev)] = plan.tag, tuple(slot_names)
     return ClassificationResult(tuple(
         CaseMatch(JangCase(tag, params), slots, rev)
-        for (tag, params, rev), slots in ordered))
+        for (_, params, rev), (tag, slots) in sorted(found.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +389,7 @@ def recognize_diffeotype(data: FixedPointData, profile: HomologyProfile) -> str 
       (labels construction = "kustarev-sum", summands = "S^6,S^6") is
       S^4 x S^2.
     """
+    _require_dataset(data)
     if profile is None:
         raise MissingProfile("diffeotype recognition needs a homology profile")
     # the two rules are mutually exclusive (case-F rows have nonzero weight

@@ -307,6 +307,8 @@ def _case_ranges(args, tag: CaseTag) -> list[range]:
 
 
 def _cmd_sweep(args):
+    if args.max_failures < 0:
+        raise BadArgument(f"--max-failures must be a nonnegative integer, got {args.max_failures}")
     ranges = _case_ranges(args, args.case)
     checked = 0
     skipped = 0

@@ -106,6 +106,7 @@ def dataset(
 
 def negate_all(data: FixedPointData) -> FixedPointData:
     """The same dataset with every weight negated (the reversed action)."""
+    _require_dataset(data)
     pts = tuple(FixedPoint(p.name, tuple(-w for w in p.weights)) for p in data.points)
     return FixedPointData(data.n, pts, data.homology, dict(data.labels))
 
@@ -120,6 +121,8 @@ def disjoint_union(d1: FixedPointData, d2: FixedPointData) -> FixedPointData:
     Carries neither homology nor labels; composition rules that know what
     the union means (e.g. the fiber connect sum) attach their own.
     """
+    _require_dataset(d1)
+    _require_dataset(d2)
     if d1.n != d2.n:
         raise BadArgument(f"cannot union datasets with n={d1.n} and n={d2.n}")
     pts = tuple(FixedPoint(_UNION_PREFIXES[0] + p.name, p.weights) for p in d1.points)
@@ -148,13 +151,22 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _require_dataset(data) -> None:
+    """Raise BadArgument unless `data` is a dataset at all: the one type
+    gate of every public function taking a dataset argument."""
+    if not isinstance(data, FixedPointData):
+        raise BadArgument(f"expected a FixedPointData dataset, got {type(data).__name__}")
+
+
 def validate(data: FixedPointData) -> list[Violation]:
     """Check every dataset invariant; return all violations (empty = valid).
 
-    Violations are data, not failures: the function never raises. The same
-    rules apply regardless of point order, so permuting points only permutes
-    the report.
+    Violations are data, not failures: the only error the function raises
+    is BadArgument, when `data` is not a FixedPointData at all. The same
+    rules apply regardless of point order, so permuting points only
+    permutes the report.
     """
+    _require_dataset(data)
     out: list[Violation] = []
     if not _is_int(data.n) or data.n < 1:
         out.append(Violation("BadHalfDimension", None, f"n must be a positive integer, got {data.n!r}"))
@@ -195,8 +207,6 @@ def _require_valid(data: FixedPointData) -> None:
 
     The one validation pass of each public operation on a dataset argument.
     """
-    if not isinstance(data, FixedPointData):
-        raise BadArgument(f"expected a FixedPointData dataset, got {type(data).__name__}")
     violations = validate(data)
     if violations:
         raise InvalidData(violations)
@@ -240,6 +250,7 @@ def parse_rational(text: str) -> Fraction:
 
 def document(data: FixedPointData) -> dict:
     """The JSON-ready dict for a dataset (inverse of the parser)."""
+    _require_dataset(data)
     doc: dict = {
         "n": data.n,
         "fixed_points": [{"name": p.name, "weights": list(p.weights)} for p in data.points],

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .core import FixedPointData, _json_fields, _require_valid
 from .errors import NonIntegralChernNumber, WrongDimension
@@ -38,10 +38,11 @@ def c1_cubed(data: FixedPointData) -> Fraction:
     _require_valid(data)
     if data.n != 3:
         raise WrongDimension(f"c_1^3 is defined for n = 3, got n = {data.n}")
-    total = Fraction(0)
-    for p in data.points:
-        total += Fraction(sum(p.weights)) ** 3 / prod(p.weights)
-    return total
+    # one Fraction over the common denominator lcm(e_p) of the Euler classes
+    euler = [prod(p.weights) for p in data.points]
+    common = lcm(*euler)
+    return Fraction(sum(sum(p.weights) ** 3 * (common // e)
+                        for p, e in zip(data.points, euler)), common)
 
 
 def chi_y_profile(data: FixedPointData) -> list[int]:

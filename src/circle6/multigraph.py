@@ -44,7 +44,7 @@ from itertools import accumulate
 from math import factorial, gcd, prod
 from operator import mul, sub
 
-from .core import FixedPointData, _is_int, _require_valid
+from .core import FixedPointData, _is_int, _require_dataset, _require_valid
 from .errors import BadArgument, BadWeights, CapExceeded, UnpairableWeights
 
 #: Abort threshold for pairing enumeration (verdicts must be exact, so the
@@ -375,6 +375,7 @@ def raw_pairing_count(data: FixedPointData) -> int:
     of positive occurrences of that magnitude; useful as a brute-force
     cross-check of the enumerator.
     """
+    _require_dataset(data)
     return prod(map(factorial, Counter(w for p in data.points for w in p.weights
                                        if w > 0).values()))
 
@@ -383,7 +384,10 @@ def connectivity_verdict(graphs: list[Multigraph]) -> ConnectivityVerdict:
     """Summarize connectivity over every pairing (the list must be nonempty)."""
     if not graphs:
         raise BadArgument("connectivity_verdict needs at least one graph")
-    flags = {g.is_connected for g in graphs}
+    try:    # the type gate costs nothing on a list of graphs
+        flags = {g.is_connected for g in graphs}
+    except (AttributeError, TypeError):
+        raise BadArgument("connectivity_verdict needs a list of Multigraph values") from None
     if flags == {True}:
         return ConnectivityVerdict.ALWAYS_CONNECTED
     if flags == {False}:

@@ -38,7 +38,8 @@ from numbers import Real
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .core import (FixedPoint, FixedPointData, HomologyProfile, SPHERE_PROFILE,
-                   Violation, _is_int, _json_fields, _require_valid, disjoint_union)
+                   Violation, _is_int, _json_fields, _require_dataset, _require_valid,
+                   disjoint_union)
 from .classifier import recognize_diffeotype
 from .errors import (BadArgument, BadDimensions, InvalidData, MissingProfile,
                      NotAdmissible, NotSimplyConnected, WrongDimension)
@@ -233,6 +234,8 @@ def kustarev_sum(
     diffeomorphism type of the result; the output labels carry the same
     provenance so it survives a save/load round trip.
     """
+    _require_dataset(d1)
+    _require_dataset(d2)
     if d1.n != d2.n:
         raise WrongDimension(f"summands must have equal n, got {d1.n} and {d2.n}")
     h1 = h1 if h1 is not None else d1.homology

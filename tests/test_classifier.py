@@ -7,7 +7,7 @@ from functools import cache
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circle6 import (
@@ -108,15 +108,24 @@ def test_templates_are_affine_in_the_parameters():
 
 
 def test_pinning_slots_are_derived_from_the_templates():
-    from circle6.classifier import _PLANS
+    from circle6.classifier import _FAMILIES, _PLANS, _affine_forms
     slots = {tag.letter: tuple(pin.slot for pin in plan.pins) for tag, plan in _PLANS.items()}
     assert slots == {"A": (0,), "B": (1,), "C": (1,), "D": (0, 2), "E": (0,), "F": (1,)}
     # the sign prefilter: case A's slot 0 is the all-positive point, case D
-    # pins zero-sum points of sign pattern (+, +, -), case C only constants
-    assert _PLANS[CaseTag.A_CP3].pins[0].signs == (1, 1, 1)
-    assert [(pin.signs, pin.total) for pin in _PLANS[CaseTag.D_S6_union].pins] == [
-        ((1, 1, -1), 0), ((1, 1, -1), 0)]
-    assert _PLANS[CaseTag.C_Fano].pins[0].signs == (-1, 1, 0)
+    # pins points of sign pattern (+, +, -), case C forces only constants
+    assert _PLANS[CaseTag.A_CP3].pins[0].keys == ((True, True, True),)
+    assert [pin.keys for pin in _PLANS[CaseTag.D_S6_union].pins] == [
+        ((True, True, False),), ((True, True, False),)]
+    assert _PLANS[CaseTag.C_Fano].pins[0].keys == ((False, True, True), (False, True, False))
+    # the self-check's premise: every entry of a pinned slot depends only
+    # on the parameters that pin reads
+    for tag, plan in _PLANS.items():
+        names, fn, _ = _FAMILIES[tag]
+        forms = _affine_forms(fn, len(names))
+        for pin in plan.pins:
+            read = {i for _, i, _ in pin.reads}
+            used = {i for coeffs, _ in forms[pin.slot] for i, c in enumerate(coeffs) if c}
+            assert used <= read, (tag, pin.slot)
 
 
 def test_every_case_reads_each_parameter_exactly_once():
@@ -136,6 +145,17 @@ def test_a_parameter_no_entry_reads_fails_the_plan(monkeypatch):
         classifier._plan(CaseTag.C_Fano)
 
 
+def test_a_pinned_slot_reading_another_pins_parameter_fails_the_plan(monkeypatch):
+    # slot 0 pins a and b, but its last entry also reads c, so the slot
+    # could not regenerate itself from a and b alone
+    from circle6 import classifier
+    monkeypatch.setitem(classifier._FAMILIES, CaseTag.D_S6_union, (
+        ("a", "b", "c", "d"), lambda a, b, c, d: (
+            (a, b, c - a - b), (-a, -b, a + b), (c, d, -c - d), (-c, -d, c + d)), True))
+    with pytest.raises(ValueError, match="slot 0 also reads"):
+        classifier._plan(CaseTag.D_S6_union)
+
+
 def test_reading_the_pinned_slots_recovers_the_parameters():
     from circle6.classifier import _PLANS, _admissible
     rng = random.Random(31)
@@ -144,7 +164,7 @@ def test_reading_the_pinned_slots_recovers_the_parameters():
         k = len(param_names(tag))
         lo = -40 if tag is CaseTag.C_Fano else 1
         params = tuple(rng.randint(lo, 40) for _ in range(k))
-        if not _admissible(tag, params):
+        if not _admissible(tag, _PLANS[tag].positive, params):
             continue
         rows = gen_family(jang_case(tag, *params)).weight_rows()
         read = {i: sign * rows[pin.slot][e]
@@ -348,6 +368,27 @@ def four_point_data(draw):
 
 def _triples(result):
     return {(m.case.tag, m.case.params, m.reversed) for m in result.matches}
+
+
+@settings(max_examples=300, deadline=None)
+@given(tag=st.sampled_from(ALL_TAGS), data=st.data())
+def test_the_self_check_never_prunes_the_generating_parameters(tag, data):
+    from circle6.classifier import _PLANS, _admissible, _candidates, _orders_by_sign
+    plan = _PLANS[tag]
+    k = len(param_names(tag))
+    lo = -30 if tag is CaseTag.C_Fano else 1
+    params = tuple(data.draw(st.lists(st.integers(lo, 30).filter(bool), min_size=k, max_size=k)))
+    assume(_admissible(tag, plan.positive, params))
+    member = gen_family(jang_case(tag, *params)).weight_rows()
+    rows = [tuple(data.draw(st.permutations(ws))) for ws in member]
+    reversed_ = data.draw(st.booleans())
+    if reversed_:
+        rows = [tuple(-w for w in ws) for ws in rows]
+    names = data.draw(st.permutations(["a", "b", "c", "zz"]))
+    shuffled = dataset(3, data.draw(st.permutations(list(zip(names, rows)))))
+    # classify undoes a reversal before it reads the pinned slots
+    pts = tuple(tuple(-w for w in ws) if reversed_ else ws for ws in shuffled.weight_rows())
+    assert params in _candidates(plan, _orders_by_sign(pts))
 
 
 @settings(max_examples=150, deadline=None)

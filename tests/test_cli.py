@@ -535,3 +535,12 @@ def test_generate_refuses_a_dataset_that_validation_refuses(capsys):
         "message": "ZeroWeight at p2: weights must be nonzero; "
                    "ZeroWeight at p3: weights must be nonzero",
     }
+
+
+def test_sweep_with_negative_max_failures_is_a_bad_argument(capsys):
+    code, payload = _run_json(capsys, [
+        "sweep", "--case", "D", "--a", "1..2", "--b", "1..2", "--c", "1..2",
+        "--d", "1..2", "--assert", "c1_cubed=1", "--max-failures", "-1"])
+    assert code == 1
+    assert payload["error"] == "BadArgument"
+    assert "--max-failures" in payload["message"]

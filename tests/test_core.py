@@ -20,13 +20,18 @@ from circle6 import (
     chern_report,
     chi_y_profile,
     classify,
+    connectivity_verdict,
     dataset,
     disjoint_union,
     document,
+    exoticness_obstruction,
     format_rational,
+    kustarev_sum,
     load,
     negate_all,
     parse_rational,
+    raw_pairing_count,
+    recognize_diffeotype,
     save,
     todd_genus,
     validate,
@@ -102,12 +107,31 @@ def test_validate_is_order_independent_up_to_location():
         assert got == baseline
 
 
-@pytest.mark.parametrize("junk", [None, "x", 1.5, 0, [], {"n": 3}, sphere_points(1, 2)],
-                         ids=repr)
-@pytest.mark.parametrize("op", [c1_cubed, chi_y_profile, todd_genus, chern_report, classify,
-                                build_multigraphs], ids=lambda op: op.__name__)
+_JUNK = [None, "x", 1.5, 0, [], {"n": 3}, sphere_points(1, 2)]
+
+
+@pytest.mark.parametrize("junk", _JUNK, ids=repr)
+@pytest.mark.parametrize("op", [
+    c1_cubed, chi_y_profile, todd_genus, chern_report, classify, build_multigraphs,
+    validate, raw_pairing_count, negate_all, document,
+    pytest.param(lambda junk: disjoint_union(junk, sphere_data()), id="disjoint_union-1"),
+    pytest.param(lambda junk: disjoint_union(sphere_data(), junk), id="disjoint_union-2"),
+    pytest.param(lambda junk: kustarev_sum(junk, None, sphere_data(), None), id="kustarev_sum-1"),
+    pytest.param(lambda junk: kustarev_sum(sphere_data(), SPHERE_PROFILE, junk, SPHERE_PROFILE),
+                 id="kustarev_sum-2"),
+    pytest.param(lambda junk: recognize_diffeotype(junk, SPHERE_PROFILE),
+                 id="recognize_diffeotype"),
+], ids=lambda op: op.__name__)
 def test_an_argument_that_is_not_a_dataset_is_a_bad_argument(op, junk):
     with pytest.raises(BadArgument, match="FixedPointData"):
+        op(junk)
+
+
+@pytest.mark.parametrize("junk", _JUNK + [[sphere_data()]], ids=repr)
+@pytest.mark.parametrize("op", [connectivity_verdict, exoticness_obstruction],
+                         ids=lambda op: op.__name__)
+def test_an_argument_that_is_not_a_graph_list_is_a_bad_argument(op, junk):
+    with pytest.raises(BadArgument):
         op(junk)
 
 
