@@ -9,13 +9,14 @@ permutation of points, permutation of weights within a point, and global
 reversal of the action.
 
 Matching is candidate-and-compare. Every template is affine in its
-parameters, and every parameter, or its negative, is a plain entry of some
-slot. One or two "pinning" slots hold all of them: slot 0 for cases A and
-E, slot 1 for cases B, C and F, slots 0 and 2 for case D. The matcher
-derives these slots, the entries that read each parameter, and the signs
-the templates force on the pinned entries, from the templates at import
-time, and checks there that every entry of a pinned slot depends only on
-the parameters that slot reads.
+parameters. One rule picks the "pinned" slots the parameters are read off:
+a slot pins when it is a function of exactly the parameters it reads, each
+a plain entry (or its negative) of the slot, and no earlier pin reads them.
+That gives slot 0 for cases A and E, slot 1 for cases B, C and F, slots 0
+and 2 for case D. The matcher derives these slots and the signs the
+templates force on their entries at import time, and checks there that
+every slot not all forced positive has a forced-negative entry, so the
+number of all-positive slots is the Todd genus of every member.
 
 For each case the matcher then tries only the (point, weight order)
 choices for the pinning slots that those signs allow, and reads the
@@ -36,7 +37,7 @@ from itertools import permutations, product
 from typing import Callable, Mapping
 
 from .core import FixedPointData, HomologyProfile, _is_int, _require_dataset, _require_valid, dataset
-from .errors import BadParams, MissingProfile, WrongDimension, WrongPointCount
+from .errors import BadArgument, BadParams, MissingProfile, WrongDimension, WrongPointCount
 
 
 class CaseTag(Enum):
@@ -123,6 +124,8 @@ def gen_family(case: JangCase) -> FixedPointData:
     (wrong arity, non-positive entries where positivity is required, or a
     repeated value in case A).
     """
+    if not isinstance(case, JangCase):
+        raise BadArgument(f"expected a JangCase, got {case!r}")
     names, fn, positive = _FAMILIES[case.tag]
     if len(case.params) != len(names):
         raise BadParams(f"case {case.tag.value} takes parameters {names}, "
@@ -183,10 +186,10 @@ class _Pin:
 @dataclass(frozen=True)
 class _Plan:
     """How to match one case: its tag, template and positivity flag, and
-    the pinned slots its parameters are read off. n0 is the number of
-    slots whose entries are all forced positive; every other slot has a
-    forced-negative entry, so it is the number of all-positive points of
-    every member (its Todd genus)."""
+    the pinned slots its parameters are read off, in the order taken. n0 is
+    the number of slots whose entries are all forced positive; `_plan`
+    checks that every other slot has a forced-negative entry, so n0 is the
+    number of all-positive points of every member (its Todd genus)."""
 
     tag: CaseTag
     fn: Callable[..., tuple]
@@ -196,42 +199,38 @@ class _Plan:
 
 
 def _plan(tag: CaseTag) -> _Plan:
-    """Pin slots greedily, each time the one whose bare entries (+-e_i,
-    constant 0) read the most unread parameters, earliest slot first.
+    """Pin each slot that is a function of exactly the parameters it reads
+    (off entries +-e_i, constant 0), of at least one, and of none that an
+    earlier pin reads. Slots are taken largest first, earliest on a tie.
 
-    Raises ValueError when no entry reads some parameter directly, or when
-    a pinned slot has an entry that depends on a parameter its pin does
-    not read (the matcher's self-check needs each pinned slot to be a
-    function of its own parameters).
+    Raises ValueError when no pin reads some parameter, or when a slot is
+    neither all forced positive nor has a forced-negative entry (then n0
+    would not be the Todd genus of every member).
     """
     names, fn, positive = _FAMILIES[tag]
-    forms = _affine_forms(fn, len(names))
-    bare: list[dict[int, tuple[int, int]]] = [{} for _ in forms]   # parameter -> (entry, sign)
-    for s, slot in enumerate(forms):
+    slots = []   # (-size, slot, bare reads {parameter: (entry, sign)}, dependencies, forced signs)
+    for s, slot in enumerate(_affine_forms(fn, len(names))):
+        bare, deps = {}, set()
         for e, (coeffs, const) in enumerate(slot):
             used = [i for i, c in enumerate(coeffs) if c]
+            deps.update(used)
             if const == 0 and len(used) == 1 and coeffs[used[0]] in (1, -1):
-                bare[s].setdefault(used[0], (e, coeffs[used[0]]))
-    unread = set(range(len(names)))
-    chosen: dict[int, list[int]] = {}
-    while unread:
-        s = max(range(4), key=lambda s: (len(unread & bare[s].keys()), -s))
-        gain = sorted(unread & bare[s].keys())
-        if not gain:
-            raise ValueError(f"case {tag.value}: no template entry reads "
-                             f"{[names[i] for i in sorted(unread)]} directly")
-        chosen[s] = gain
-        unread -= set(gain)
-    for s, gain in chosen.items():
-        stray = {i for coeffs, _ in forms[s] for i, c in enumerate(coeffs) if c} - set(gain)
-        if stray:
-            raise ValueError(f"case {tag.value}: pinned slot {s} also reads "
-                             f"{[names[i] for i in sorted(stray)]}")
-    signs = [tuple(_forced_sign(c, const, positive) for c, const in forms[s]) for s in range(4)]
-    pins = tuple(_Pin(s, tuple(product(*((sg > 0,) if sg else (True, False) for sg in signs[s]))),
-                      tuple((bare[s][i][0], i, bare[s][i][1]) for i in chosen[s]))
-                 for s in sorted(chosen))
-    return _Plan(tag, fn, positive, pins, sum(min(sg) > 0 for sg in signs))
+                bare.setdefault(used[0], (e, coeffs[used[0]]))
+        signs = [_forced_sign(c, const, positive) for c, const in slot]
+        if min(signs) == 0:
+            raise ValueError(f"case {tag.value}: slot {s} is neither all positive "
+                             f"nor has a forced-negative entry")
+        slots.append((-len(deps), s, bare, deps, signs))
+    read, pins = set(), []
+    for _, s, bare, deps, signs in sorted(slots):
+        if deps and deps == bare.keys() and not deps & read:
+            read |= deps
+            pins.append(_Pin(s, tuple(product(*((sg > 0,) if sg else (True, False) for sg in signs))),
+                             tuple((bare[i][0], i, bare[i][1]) for i in sorted(deps))))
+    if len(read) < len(names):
+        raise ValueError(f"case {tag.value}: no pinned slot reads "
+                         f"{[n for i, n in enumerate(names) if i not in read]}")
+    return _Plan(tag, fn, positive, tuple(pins), sum(min(t[-1]) > 0 for t in slots))
 
 
 _PLANS = {tag: _plan(tag) for tag in CaseTag}

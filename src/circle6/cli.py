@@ -177,13 +177,7 @@ def _cmd_validate(args):
         violations = exc.violations
     else:
         violations = []
-    payload = {
-        "ok": not violations,
-        "violations": [
-            {"rule": v.rule, "point": v.point, "message": v.message}
-            for v in violations
-        ],
-    }
+    payload = {"ok": not violations, "violations": [core._json_fields(v) for v in violations]}
     return (0 if not violations else 1), payload
 
 
@@ -232,15 +226,7 @@ def _cmd_graph(args):
     return 0, {
         "count": len(graphs),
         "verdict": verdict.value,
-        "graphs": [
-            {
-                "vertices": list(g.vertices),
-                "edges": [[u, v, label] for u, v, label in g.edges],
-                "components": [list(c) for c in g.components],
-                "connected": g.is_connected,
-            }
-            for g in graphs
-        ],
+        "graphs": [{**core._json_fields(g), "connected": g.is_connected} for g in graphs],
     }
 
 
@@ -251,13 +237,13 @@ def _cmd_sum(args):
     payload: dict = {"report": result.report.as_json_dict()}
     if args.out:
         # --out receives the composed dataset document itself, so it can be
-        # fed straight back into any other subcommand
+        # fed straight back into any other subcommand; the report goes to
+        # stdout
         core.save(result.data, args.out)
         payload["written_to"] = args.out
-        if not args.quiet:
-            sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return 0, None
-    payload["dataset"] = core.document(result.data)
+        args.out = None
+    else:
+        payload["dataset"] = core.document(result.data)
     return 0, payload
 
 
@@ -372,8 +358,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         code, payload = _HANDLERS[args.command](args)
-        if payload is not None:
-            _emit(payload, args)
+        _emit(payload, args)
         return code
     except ToolkitError as exc:
         return _fail(exc, args)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from numbers import Rational
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
@@ -99,14 +100,23 @@ def dataset(
     homology: HomologyProfile | None = None,
     labels: Mapping[str, str] | None = None,
 ) -> FixedPointData:
-    """Convenience builder from (name, weights) pairs."""
-    pts = tuple(FixedPoint(name, tuple(ws)) for name, ws in points)
-    return FixedPointData(n=n, points=pts, homology=homology, labels=dict(labels or {}))
+    """Convenience builder from (name, weights) pairs.
+
+    Raises BadArgument when `points` is not an iterable of (name, weights)
+    pairs with iterable weights, or `dict` cannot read `labels`; it checks
+    nothing else (run :func:`validate` for that).
+    """
+    try:
+        pts = tuple(FixedPoint(name, tuple(ws)) for name, ws in points)
+        return FixedPointData(n=n, points=pts, homology=homology, labels=dict(labels or {}))
+    except (TypeError, ValueError):
+        raise BadArgument("dataset needs an iterable of (name, weights) pairs "
+                          "and a labels mapping") from None
 
 
 def negate_all(data: FixedPointData) -> FixedPointData:
     """The same dataset with every weight negated (the reversed action)."""
-    _require_dataset(data)
+    _require_integer_weights(data)
     pts = tuple(FixedPoint(p.name, tuple(-w for w in p.weights)) for p in data.points)
     return FixedPointData(data.n, pts, data.homology, dict(data.labels))
 
@@ -156,6 +166,16 @@ def _require_dataset(data) -> None:
     gate of every public function taking a dataset argument."""
     if not isinstance(data, FixedPointData):
         raise BadArgument(f"expected a FixedPointData dataset, got {type(data).__name__}")
+
+
+def _require_integer_weights(data) -> None:
+    """Raise BadArgument unless `data` is a dataset whose weights are all
+    integers: the gate of operations that compute on data they do not
+    validate."""
+    _require_dataset(data)
+    bad = [w for p in data.points for w in p.weights if not _is_int(w)]
+    if bad:
+        raise BadArgument(f"weights must be integers, got {bad!r}")
 
 
 def validate(data: FixedPointData) -> list[Violation]:
@@ -218,6 +238,8 @@ def _require_valid(data: FixedPointData) -> None:
 
 def format_rational(x: Fraction | int) -> str:
     """Render an exact rational as "p/q" (integers as "p/1")."""
+    if not isinstance(x, Rational):
+        raise BadArgument(f"expected an exact rational, got {x!r}")
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
@@ -232,6 +254,8 @@ def _json_fields(result) -> dict:
 
 def parse_rational(text: str) -> Fraction:
     """Parse an integer or "p/q" literal. Float syntax is rejected on purpose."""
+    if not isinstance(text, str):
+        raise BadArgument(f"expected a rational literal string, got {text!r}")
     s = text.strip()
     if "/" in s:
         num, _, den = s.partition("/")

@@ -44,7 +44,7 @@ from itertools import accumulate
 from math import factorial, gcd, prod
 from operator import mul, sub
 
-from .core import FixedPointData, _is_int, _require_dataset, _require_valid
+from .core import FixedPointData, _is_int, _require_integer_weights, _require_valid
 from .errors import BadArgument, BadWeights, CapExceeded, UnpairableWeights
 
 #: Abort threshold for pairing enumeration (verdicts must be exact, so the
@@ -107,10 +107,15 @@ def make_graph(vertices, edges) -> Multigraph:
     """Canonicalize raw (u, v, label) triples into a Multigraph; the
     vertices must be distinct, every edge must join two of them and every
     label must be a positive integer."""
-    verts = tuple(vertices)
-    canon = tuple((u, v, label) if u <= v else (v, u, label) for u, v, label in edges)
-    if (len(set(verts)) < len(verts) or not {x for u, v, _ in canon for x in (u, v)} <= set(verts)
-            or not all(_is_int(label) and label > 0 for _, _, label in canon)):
+    try:    # junk of any shape fails one of these steps
+        verts = tuple(vertices)
+        canon = tuple((u, v, label) if u <= v else (v, u, label) for u, v, label in edges)
+        ok = (len(set(verts)) == len(verts)
+              and {x for u, v, _ in canon for x in (u, v)} <= set(verts)
+              and all(_is_int(label) and label > 0 for _, _, label in canon))
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
         raise BadArgument("make_graph needs distinct vertices, edges between them "
                           "and positive integer labels")
     return _graphs(verts, [[canon]])[0]
@@ -375,7 +380,7 @@ def raw_pairing_count(data: FixedPointData) -> int:
     of positive occurrences of that magnitude; useful as a brute-force
     cross-check of the enumerator.
     """
-    _require_dataset(data)
+    _require_integer_weights(data)
     return prod(map(factorial, Counter(w for p in data.points for w in p.weights
                                        if w > 0).values()))
 

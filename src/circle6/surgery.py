@@ -38,8 +38,8 @@ from numbers import Real
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .core import (FixedPoint, FixedPointData, HomologyProfile, SPHERE_PROFILE,
-                   Violation, _is_int, _json_fields, _require_dataset, _require_valid,
-                   disjoint_union)
+                   Violation, _is_int, _json_fields, _require_dataset,
+                   _require_integer_weights, _require_valid, disjoint_union)
 from .classifier import recognize_diffeotype
 from .errors import (BadArgument, BadDimensions, InvalidData, MissingProfile,
                      NotAdmissible, NotSimplyConnected, WrongDimension)
@@ -101,6 +101,8 @@ class Admissibility:
 
 def kustarev_admissible(dim: DimensionPair) -> Admissibility:
     """Mod-8 gate for the fiber connect sum of almost complex T^k-actions."""
+    if not isinstance(dim, DimensionPair):
+        raise BadArgument(f"expected a DimensionPair, got {dim!r}")
     m = dim.slice_dim
     exists = stable_pi_so_mod_u(m - 1) is HomotopyGroup.ZERO
     unique = exists and stable_pi_so_mod_u(m) is HomotopyGroup.ZERO
@@ -177,6 +179,7 @@ def standard_sphere(a: int, b: int) -> FixedPointData:
 def is_sphere_summand(data: FixedPointData, profile: HomologyProfile) -> bool:
     """Whether (data, profile) is a standard sphere action: two fixed points
     with opposite zero-sum weight multisets and sphere homology."""
+    _require_integer_weights(data)
     if profile is None or profile != SPHERE_PROFILE:
         return False
     if len(data.points) != 2:
@@ -285,6 +288,8 @@ def equivariantly_formal(profile: HomologyProfile, integral: bool = False) -> bo
     sets this is the equivariant formality criterion."""
     if profile is None:
         raise MissingProfile("formality needs a homology profile")
+    if not isinstance(profile, HomologyProfile):
+        raise BadArgument(f"expected a HomologyProfile, got {profile!r}")
     if not profile.simply_connected or profile.b3 != 0:
         return False
     return profile.torsion_free if integral else True

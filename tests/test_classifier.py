@@ -145,15 +145,36 @@ def test_a_parameter_no_entry_reads_fails_the_plan(monkeypatch):
         classifier._plan(CaseTag.C_Fano)
 
 
-def test_a_pinned_slot_reading_another_pins_parameter_fails_the_plan(monkeypatch):
-    # slot 0 pins a and b, but its last entry also reads c, so the slot
-    # could not regenerate itself from a and b alone
+def test_a_slot_depending_on_a_parameter_it_does_not_read_is_not_pinned(monkeypatch):
+    # slot 0 reads a and b but its last entry also depends on c, so it is
+    # not a function of exactly what it reads; slots 1 and 2 are, and the
+    # matcher still recovers the member's parameters off them
     from circle6 import classifier
-    monkeypatch.setitem(classifier._FAMILIES, CaseTag.D_S6_union, (
-        ("a", "b", "c", "d"), lambda a, b, c, d: (
-            (a, b, c - a - b), (-a, -b, a + b), (c, d, -c - d), (-c, -d, c + d)), True))
-    with pytest.raises(ValueError, match="slot 0 also reads"):
-        classifier._plan(CaseTag.D_S6_union)
+    def fn(a, b, c, d):
+        return (a, b, -a - b - c), (-a, -b, a + b), (c, d, -c - d), (-c, -d, c + d)
+    monkeypatch.setitem(classifier._FAMILIES, CaseTag.D_S6_union, (("a", "b", "c", "d"), fn, True))
+    plan = classifier._plan(CaseTag.D_S6_union)
+    assert tuple(pin.slot for pin in plan.pins) == (1, 2)
+    orders = classifier._orders_by_sign(fn(2, 3, 9, 4))
+    assert (2, 3, 9, 4) in classifier._candidates(plan, orders)
+
+
+@pytest.mark.parametrize("tag, template", [
+    # case A with slot 1 = (a, b - a, c - a): its member at (1, 2, 3) has
+    # two all-positive points, not the one slot 0 counts
+    (CaseTag.A_CP3, (("a", "b", "c"), lambda a, b, c: (
+        (a, b, c), (a, b - a, c - a), (-b, a - b, c - b), (-c, a - c, b - c)), True)),
+    # case D with slot 0 = (a, b, c - a - b): signs +, + and undetermined
+    (CaseTag.D_S6_union, (("a", "b", "c", "d"), lambda a, b, c, d: (
+        (a, b, c - a - b), (-a, -b, a + b), (c, d, -c - d), (-c, -d, c + d)), True)),
+])
+def test_a_slot_neither_all_positive_nor_forced_negative_fails_the_plan(monkeypatch, tag, template):
+    # n0 counts the all-positive slots as the Todd genus of every member,
+    # which needs every other slot to carry a forced-negative entry
+    from circle6 import classifier
+    monkeypatch.setitem(classifier._FAMILIES, tag, template)
+    with pytest.raises(ValueError, match="forced-negative"):
+        classifier._plan(tag)
 
 
 def test_reading_the_pinned_slots_recovers_the_parameters():

@@ -143,6 +143,14 @@ def test_sum_writes_a_loadable_document(tmp_path, capsys):
     assert payload["verdict"] == "NeverConnected"
 
 
+def test_sum_with_out_and_quiet_writes_the_document_only(tmp_path, capsys):
+    f1 = _write_sphere(tmp_path / "a.json", 1, 2)
+    out = tmp_path / "composed.json"
+    assert run(["sum", str(f1), str(f1), "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert load(out).labels["summands"] == "S^6,S^6"
+
+
 def test_sum_without_out_embeds_the_dataset(tmp_path, capsys):
     f1 = _write_sphere(tmp_path / "a.json", 1, 1)
     f2 = _write_sphere(tmp_path / "b.json", 1, 1)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+import circle6
 from circle6 import (
     BadArgument,
     HomologyProfile,
@@ -26,6 +29,7 @@ from circle6 import (
     document,
     exoticness_obstruction,
     format_rational,
+    is_sphere_summand,
     kustarev_sum,
     load,
     negate_all,
@@ -33,6 +37,7 @@ from circle6 import (
     raw_pairing_count,
     recognize_diffeotype,
     save,
+    standard_sphere,
     todd_genus,
     validate,
 )
@@ -121,10 +126,51 @@ _JUNK = [None, "x", 1.5, 0, [], {"n": 3}, sphere_points(1, 2)]
                  id="kustarev_sum-2"),
     pytest.param(lambda junk: recognize_diffeotype(junk, SPHERE_PROFILE),
                  id="recognize_diffeotype"),
+    pytest.param(lambda junk: is_sphere_summand(junk, SPHERE_PROFILE), id="is_sphere_summand"),
 ], ids=lambda op: op.__name__)
 def test_an_argument_that_is_not_a_dataset_is_a_bad_argument(op, junk):
     with pytest.raises(BadArgument, match="FixedPointData"):
         op(junk)
+
+
+@pytest.mark.parametrize("weight", ["a", 1.5, True, None], ids=repr)
+@pytest.mark.parametrize("op", [
+    negate_all, raw_pairing_count,
+    pytest.param(lambda data: is_sphere_summand(data, SPHERE_PROFILE), id="is_sphere_summand"),
+], ids=lambda op: op.__name__)
+def test_a_dataset_with_a_non_integer_weight_is_a_bad_argument(op, weight):
+    # these operations compute on data they do not validate
+    with pytest.raises(BadArgument, match="integers"):
+        op(dataset(3, [("p1", (weight, 2, -3)), ("p2", (-1, -2, 3))]))
+
+
+# The junk pool of the API contract below; extend it rather than adding a
+# test per leak.
+_POOL = [None, "x", 1.5, True, -1, 0, [], (1,), standard_sphere(1, 2)]
+
+
+def test_every_public_function_returns_or_raises_a_toolkit_error():
+    """Call every public function of circle6 with every tuple of its
+    required positional arguments drawn from the pool; only a return or a
+    ToolkitError is allowed. Classes, save and load are left out, and so
+    are functions with more than three required arguments."""
+    leaks = []
+    for name in sorted(dir(circle6)):
+        fn = getattr(circle6, name)
+        if name.startswith("_") or not inspect.isfunction(fn) or name in ("save", "load"):
+            continue
+        required = [p for p in inspect.signature(fn).parameters.values() if p.default is p.empty
+                    and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        if len(required) > 3:
+            continue
+        for args in product(_POOL, repeat=len(required)):
+            try:
+                fn(*args)
+            except circle6.ToolkitError:
+                pass
+            except Exception as exc:
+                leaks.append(f"{name}{args!r}: {type(exc).__name__}: {exc}")
+    assert not leaks, "\n".join(leaks[:20])
 
 
 @pytest.mark.parametrize("junk", _JUNK + [[sphere_data()]], ids=repr)
