@@ -14,19 +14,27 @@ a slot pins when it is a function of exactly the parameters it reads, each
 a plain entry (or its negative) of the slot, and no earlier pin reads them.
 That gives slot 0 for cases A and E, slot 1 for cases B, C and F, slots 0
 and 2 for case D. The matcher derives these slots and the signs the
-templates force on their entries at import time, and checks there that
-every slot not all forced positive has a forced-negative entry, so the
-number of all-positive slots is the Todd genus of every member.
+templates force on their entries at import time.
 
-For each case the matcher then tries only the (point, weight order)
-choices for the pinning slots that those signs allow, and reads the
+A case is tried only where both Chern numbers the data fixes match it.
+At import `_plan` checks that every slot not all forced positive has a
+forced-negative entry, so the number of all-positive slots is the Todd
+genus of every member, and it records the case's c_1^3 when a few sampled
+members agree on it (64, 54, 0, -8, -2 for cases A, B, D, E, F; case C's
+72 - 2a^2 varies, so C is not keyed). `classify` computes the data's
+c_1^3 once, since for n = 3 it does not change under reversal.
+
+For each case tried the matcher takes only the (point, weight order)
+choices for the pinning slots that the forced signs allow, and reads the
 parameters off them. A choice is kept only when its slot regenerates
 itself: the template, evaluated at the parameters read off it (the other
 parameters 0), gives back that exact weight order in that slot. A true
-match always passes this self-check, and most false ones stop there. The
-matcher regenerates the whole family only for the combinations that
-remain and satisfy the case's constraints, and keeps those whose family
-equals the data as a multiset of weight multisets.
+match always passes this self-check, and most false ones stop there.
+Choices for different pins combine only over distinct points, since a
+match puts each slot on its own point. The matcher regenerates the whole
+family only for the combinations that remain and satisfy the case's
+constraints, and keeps those whose family equals the data as a multiset
+of weight multisets.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from typing import Callable, Mapping
 
 from .core import FixedPointData, HomologyProfile, _is_int, _require_dataset, _require_valid, dataset
 from .errors import BadArgument, BadParams, MissingProfile, WrongDimension, WrongPointCount
+from .localization import _c1_cubed_terms
 
 
 class CaseTag(Enum):
@@ -189,13 +198,16 @@ class _Plan:
     the pinned slots its parameters are read off, in the order taken. n0 is
     the number of slots whose entries are all forced positive; `_plan`
     checks that every other slot has a forced-negative entry, so n0 is the
-    number of all-positive points of every member (its Todd genus)."""
+    number of all-positive points of every member (its Todd genus). c1 is
+    the c_1^3 of every member when the sampled members agree on it, else
+    None."""
 
     tag: CaseTag
     fn: Callable[..., tuple]
     positive: bool
     pins: tuple[_Pin, ...]
     n0: int
+    c1: int | None
 
 
 def _plan(tag: CaseTag) -> _Plan:
@@ -230,26 +242,35 @@ def _plan(tag: CaseTag) -> _Plan:
     if len(read) < len(names):
         raise ValueError(f"case {tag.value}: no pinned slot reads "
                          f"{[n for i, n in enumerate(names) if i not in read]}")
-    return _Plan(tag, fn, positive, tuple(pins), sum(min(t[-1]) > 0 for t in slots))
+    # c1: the value a few admissible members share; a case whose c_1^3
+    # depends on its parameters (case C: 72 - 2a^2) gets None, so keying on
+    # it never drops a member the sample did not see
+    c1s = {_integral_c1(fn(*params)) for params in (s[:len(names)] for s in _C1_SAMPLES)
+           if _admissible(tag, positive, params)}
+    return _Plan(tag, fn, positive, tuple(pins), sum(min(t[-1]) > 0 for t in slots),
+                 c1s.pop() if len(c1s) == 1 else None)
+
+
+_C1_SAMPLES = ((1, 2, 3, 4), (2, 3, 4, 5), (3, 4, 5, 6))
+
+
+def _integral_c1(rows) -> int | None:
+    """c_1^3 of valid weight rows when it is an integer, else None."""
+    num, den = _c1_cubed_terms(rows)
+    return num // den if num % den == 0 else None
 
 
 _PLANS = {tag: _plan(tag) for tag in CaseTag}
 
-# The per-case records classify loops over, grouped by the Todd genus of
-# their members: (position in CaseTag order, plan), in CaseTag order.
-_CASES_BY_TODD: dict[int, list[tuple[int, _Plan]]] = {
-    n0: [(pos, plan) for pos, plan in enumerate(_PLANS.values()) if plan.n0 == n0]
-    for n0 in {plan.n0 for plan in _PLANS.values()}}
-
 
 def _orders_by_sign(pts: tuple[tuple[int, ...], ...]):
-    """Every weight order of every point, keyed by the order's sign vector
-    (True for a positive weight)."""
-    table: dict[tuple[bool, ...], list[tuple[int, ...]]] = {}
-    for ws in pts:
+    """Every weight order of every point as (point index, order), keyed by
+    the order's sign vector (True for a positive weight)."""
+    table: dict[tuple[bool, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    for point, ws in enumerate(pts):
         signs = tuple(w > 0 for w in ws)
         for order, key in zip(permutations(ws), permutations(signs)):
-            table.setdefault(key, []).append(order)
+            table.setdefault(key, []).append((point, order))
     return table
 
 
@@ -261,29 +282,29 @@ def _candidates(plan: _Plan, orders: dict):
     the parameters read off that order (the others 0), gives back exactly
     that order in the slot. Every entry of a pinned slot depends only on
     the parameters its pin reads, so a true match always passes. The pins
-    read disjoint parameters, so their vectors combine by adding; the
-    caller regenerates each combination and compares it with the data.
+    read disjoint parameters, so their vectors combine by adding, and only
+    over distinct points: a match puts each slot on its own point, and two
+    identical points give the same parameters. The caller regenerates each
+    combination and compares it with the data.
     """
     k = sum(len(pin.reads) for pin in plan.pins)
     per_pin = []
     for pin in plan.pins:
-        values = set()
+        by_point: dict[int, set[tuple[int, ...]]] = {}
         for key in pin.keys:
-            for order in orders.get(key, ()):
+            for point, order in orders.get(key, ()):
                 params = [0] * k
                 for e, i, sign in pin.reads:
                     params[i] = sign * order[e]
                 if plan.fn(*params)[pin.slot] == order:
-                    values.add(tuple(params))
-        if not values:
+                    by_point.setdefault(point, set()).add(tuple(params))
+        if not by_point:
             return set()
-        per_pin.append(values)
-    return {tuple(map(sum, zip(*combo))) for combo in product(*per_pin)}
-
-
-def _canonical(rows) -> list[list[int]]:
-    """The data up to point order and weight order: sorted sorted rows."""
-    return sorted(map(sorted, rows))
+        per_pin.append(by_point.items())
+    return {tuple(map(sum, zip(*combo)))
+            for points in product(*per_pin)
+            if len({point for point, _ in points}) == len(points)
+            for combo in product(*(values for _, values in points))}
 
 
 @dataclass(frozen=True)
@@ -332,25 +353,31 @@ def classify(data: FixedPointData) -> ClassificationResult:
                               f"got {len(data.points)}")
     names = data.names()
     rows = data.weight_rows()
-    names_by_multiset: dict[tuple[int, ...], list[str]] = {}
-    for name, ws in sorted(zip(names, rows)):
-        names_by_multiset.setdefault(tuple(sorted(ws)), []).append(name)
+    # for n = 3, c_1^3 does not change when every weight is negated, so one
+    # value keys both passes; no member has a non-integral one, and None
+    # then keeps only the unkeyed cases
+    c1 = _integral_c1(rows)
     # keyed by case position, so sorting the keys gives CaseTag order
     found: dict[tuple[int, tuple[int, ...], bool], tuple[CaseTag, tuple[str, ...]]] = {}
     for rev in (False, True):
         pts = rows if not rev else tuple(tuple(-w for w in ws) for ws in rows)
         n0 = sum(1 for ws in pts if all(w > 0 for w in ws))
-        cases = _CASES_BY_TODD.get(n0)
+        cases = [(pos, plan) for pos, plan in enumerate(_PLANS.values())
+                 if plan.n0 == n0 and (plan.c1 is None or plan.c1 == c1)]
         if not cases:
             continue
-        target = _canonical(pts)
         orders = _orders_by_sign(pts)
+        multisets = [tuple(sorted(ws)) for ws in pts]
+        target = sorted(multisets)
+        names_by_multiset: dict[tuple[int, ...], list[str]] = {}
+        for name, m in sorted(zip(names, multisets)):
+            names_by_multiset.setdefault(m, []).append(name)
         for pos, plan in cases:
             for params in _candidates(plan, orders):
                 if not _admissible(plan.tag, plan.positive, params):
                     continue
-                generated = plan.fn(*params)
-                if _canonical(generated) != target:
+                generated = [tuple(sorted(ws)) for ws in plan.fn(*params)]
+                if sorted(generated) != target:
                     continue
                 # canonical assignment: all assignments for fixed params
                 # differ only by permuting identical points, so handing out
@@ -358,8 +385,7 @@ def classify(data: FixedPointData) -> ClassificationResult:
                 # lexicographically smallest one
                 handed: dict[tuple[int, ...], int] = {}
                 slot_names = []
-                for ws in generated:
-                    m = tuple(sorted(-w for w in ws) if rev else sorted(ws))
+                for m in generated:
                     slot_names.append(names_by_multiset[m][handed.get(m, 0)])
                     handed[m] = handed.get(m, 0) + 1
                 found[(pos, params, rev)] = plan.tag, tuple(slot_names)

@@ -38,11 +38,16 @@ def c1_cubed(data: FixedPointData) -> Fraction:
     _require_valid(data)
     if data.n != 3:
         raise WrongDimension(f"c_1^3 is defined for n = 3, got n = {data.n}")
-    # one Fraction over the common denominator lcm(e_p) of the Euler classes
-    euler = [prod(p.weights) for p in data.points]
+    return Fraction(*_c1_cubed_terms(data.weight_rows()))
+
+
+def _c1_cubed_terms(rows) -> tuple[int, int]:
+    """The c_1^3 sum over weight rows as (numerator, lcm(e_p)): one integer
+    pass over the common denominator of the Euler classes e_p. The rows
+    must be free of zeros; the caller has validated them."""
+    euler = [prod(ws) for ws in rows]
     common = lcm(*euler)
-    return Fraction(sum(sum(p.weights) ** 3 * (common // e)
-                        for p, e in zip(data.points, euler)), common)
+    return sum(sum(ws) ** 3 * (common // e) for ws, e in zip(rows, euler)), common
 
 
 def chi_y_profile(data: FixedPointData) -> list[int]:

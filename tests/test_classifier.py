@@ -282,6 +282,30 @@ def test_todd_genus_per_family():
         assert _PLANS[case.tag].n0 == expected[letter]
 
 
+def test_chern_number_key_per_family():
+    # the frozen c1^3 constants; case C varies as 72 - 2a^2 and is not keyed
+    from circle6.classifier import _PLANS
+    expected = {"A": 64, "B": 54, "C": None, "D": 0, "E": -8, "F": -2}
+    assert {tag.letter: plan.c1 for tag, plan in _PLANS.items()} == expected
+
+
+def test_each_keyed_template_has_constant_chern_number():
+    # the key is sampled off a few members; symbolically, the c1^3 sum of
+    # every keyed template is that constant, so the key never drops a
+    # true match, and case C's sum depends on its parameter
+    sympy = pytest.importorskip("sympy")
+    from circle6.classifier import _FAMILIES, _PLANS
+    for tag, (names, fn, _) in _FAMILIES.items():
+        symbols = sympy.symbols(names)
+        total = sympy.cancel(sympy.together(
+            sum(sum(ws) ** 3 / sympy.Mul(*ws) for ws in fn(*symbols))))
+        if tag is CaseTag.C_Fano:
+            assert _PLANS[tag].c1 is None
+            assert sympy.expand(total - (72 - 2 * symbols[0] ** 2)) == 0
+        else:
+            assert total == _PLANS[tag].c1, tag
+
+
 def test_classify_input_gates():
     with pytest.raises(WrongPointCount):
         classify(dataset(3, [("p1", (1, 2, -3)), ("p2", (-1, -2, 3)), ("p3", (1, 1, -2))]))
@@ -350,22 +374,60 @@ def test_classify_agrees_with_the_table_on_all_sphere_sums():
             ("p3", (c, d, -c - d)), ("p4", (-c, -d, c + d))]))
 
 
-def test_classify_agrees_with_the_table_on_random_data():
+def _random_inputs():
     rng = random.Random(23)
     nonzero = [w for w in range(-4, 5) if w]
-    for _ in range(400):
-        _check_against_reference(dataset(3, [
-            (f"p{i}", tuple(rng.choice(nonzero) for _ in range(3))) for i in range(4)]))
+    return [dataset(3, [(f"p{i}", tuple(rng.choice(nonzero) for _ in range(3)))
+                        for i in range(4)]) for _ in range(400)]
 
 
-def test_classify_agrees_with_the_table_on_family_members():
+def _member_inputs():
     rng = random.Random(29)
     members = sorted(key for key in _reference_table()
                      if max(abs(w) for ws in key for w in ws) <= TABLE_BOUND)
+    inputs = []
     for key in rng.sample(members, 300):
         rows = [tuple(rng.sample(ws, 3)) for ws in key]
         rng.shuffle(rows)
-        _check_against_reference(dataset(3, [(f"p{i}", ws) for i, ws in enumerate(rows)]))
+        inputs.append(dataset(3, [(f"p{i}", ws) for i, ws in enumerate(rows)]))
+    return inputs
+
+
+def test_classify_agrees_with_the_table_on_random_data():
+    for data in _random_inputs():
+        _check_against_reference(data)
+
+
+def test_classify_agrees_with_the_table_on_family_members():
+    for data in _member_inputs():
+        _check_against_reference(data)
+
+
+def test_the_chern_number_key_changes_no_result(monkeypatch):
+    # with every case unkeyed, classify searches all cases of the right
+    # Todd genus, as it did before the key
+    from dataclasses import replace
+    from circle6 import classifier
+    inputs = _random_inputs() + _member_inputs()
+    keyed = [classify(data) for data in inputs]
+    for tag, plan in classifier._PLANS.items():
+        monkeypatch.setitem(classifier._PLANS, tag, replace(plan, c1=None))
+    assert [classify(data) for data in inputs] == keyed
+
+
+def test_case_d_candidates_are_exactly_the_matches_on_sphere_sums():
+    # pinned slots take distinct points, so no candidate puts both of case
+    # D's pins on one point and every candidate is a match
+    from circle6.classifier import _PLANS, _candidates, _orders_by_sign
+    plan = _PLANS[CaseTag.D_S6_union]
+    for a, b, c, d in product(range(1, 7), repeat=4):
+        rows = ((a, b, -a - b), (-a, -b, a + b), (c, d, -c - d), (-c, -d, c + d))
+        matches = classify(dataset(3, [(f"p{i}", ws) for i, ws in enumerate(rows)])).matches
+        for rev in (False, True):
+            pts = tuple(tuple(-w for w in ws) for ws in rows) if rev else rows
+            assert _candidates(plan, _orders_by_sign(pts)) == {
+                m.case.params for m in matches
+                if m.case.tag is CaseTag.D_S6_union and m.reversed is rev}, (rows, rev)
 
 
 _NONZERO = st.integers(-5, 5).filter(bool)
