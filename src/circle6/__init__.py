@@ -13,7 +13,8 @@ Capabilities, one module each:
   connectivity verdicts, the linear-model isotropy graph on S^4 x S^2;
 * :mod:`circle6.surgery` -- fiber connect sum bookkeeping: the mod-8
   admissibility/uniqueness gate, framing parity calculus, homology
-  composition, and the numeric collar gluing check;
+  composition, diffeotype recognition, and the numeric collar gluing
+  check;
 * :mod:`circle6.cli` -- the `circle6` command (also `python -m circle6`).
 """
 
@@ -59,13 +60,10 @@ from .classifier import (
     CaseTag,
     ClassificationResult,
     JangCase,
-    QUADRIC_Q3,
-    S4_X_S2,
     classify,
     gen_family,
     jang_case,
     param_names,
-    recognize_diffeotype,
 )
 from .multigraph import (
     ConnectivityVerdict,
@@ -85,6 +83,8 @@ from .surgery import (
     HomotopyGroup,
     KustarevSum,
     NONTRIVIAL_CLASS,
+    QUADRIC_Q3,
+    S4_X_S2,
     SumReport,
     TRIVIAL_CLASS,
     equivariant_normal_framing_class,
@@ -93,6 +93,7 @@ from .surgery import (
     kustarev_admissible,
     kustarev_sum,
     psi_flip,
+    recognize_diffeotype,
     rotation_loop_class,
     stable_pi_so_mod_u,
     standard_sphere,

@@ -32,9 +32,8 @@ parameters 0), gives back that exact weight order in that slot. A true
 match always passes this self-check, and most false ones stop there.
 Choices for different pins combine only over distinct points, since a
 match puts each slot on its own point. The matcher regenerates the whole
-family only for the combinations that remain and satisfy the case's
-constraints, and keeps those whose family equals the data as a multiset
-of weight multisets.
+family only for the combinations that remain, and keeps those whose
+family equals the data as a multiset of weight multisets.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ from enum import Enum
 from itertools import permutations, product
 from typing import Callable, Mapping
 
-from .core import FixedPointData, HomologyProfile, _is_int, _require_dataset, _require_valid, dataset
-from .errors import BadArgument, BadParams, MissingProfile, WrongDimension, WrongPointCount
+from .core import FixedPointData, _is_int, _require_valid, dataset
+from .errors import BadArgument, BadParams, WrongDimension, WrongPointCount
 from .localization import _c1_cubed_terms
 
 
@@ -373,9 +372,8 @@ def classify(data: FixedPointData) -> ClassificationResult:
         for name, m in sorted(zip(names, multisets)):
             names_by_multiset.setdefault(m, []).append(name)
         for pos, plan in cases:
+            # no _admissible check: pin keys force read signs; equal A params regenerate a 0 weight
             for params in _candidates(plan, orders):
-                if not _admissible(plan.tag, plan.positive, params):
-                    continue
                 generated = [tuple(sorted(ws)) for ws in plan.fn(*params)]
                 if sorted(generated) != target:
                     continue
@@ -393,40 +391,3 @@ def classify(data: FixedPointData) -> ClassificationResult:
         CaseMatch(JangCase(tag, params), slots, rev)
         for (_, params, rev), (tag, slots) in sorted(found.items())))
 
-
-# ---------------------------------------------------------------------------
-# diffeotype recognition
-# ---------------------------------------------------------------------------
-
-QUADRIC_Q3 = "quadric Q^3"
-S4_X_S2 = "S^4 x S^2"
-
-
-def recognize_diffeotype(data: FixedPointData, profile: HomologyProfile) -> str | None:
-    """Name the diffeomorphism type when one of the recognition rules applies.
-
-    Two rules are implemented; anything else returns None rather than
-    guessing:
-
-    * data matching case F on a simply connected, torsion-free manifold
-      with b3 = 0 (integrally equivariantly formal) is the quadric 3-fold;
-    * data marked as the fiber connect sum of two standard 6-spheres
-      (labels construction = "kustarev-sum", summands = "S^6,S^6") is
-      S^4 x S^2.
-    """
-    _require_dataset(data)
-    if profile is None:
-        raise MissingProfile("diffeotype recognition needs a homology profile")
-    # the two rules are mutually exclusive (case-F rows have nonzero weight
-    # sums, sphere-sum rows sum to zero), so the cheap provenance check goes
-    # first and spares sum data a classification pass
-    labels = data.labels
-    if labels.get("construction") == "kustarev-sum" and labels.get("summands") == "S^6,S^6":
-        return S4_X_S2
-    if len(data.points) == 4:
-        result = classify(data)
-        fits_case_f = any(m.case.tag is CaseTag.F_BlC_S6 for m in result.matches)
-        if (fits_case_f and profile.simply_connected and profile.torsion_free
-                and profile.b3 == 0):
-            return QUADRIC_Q3
-    return None

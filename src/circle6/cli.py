@@ -307,24 +307,21 @@ def _cmd_sweep(args):
             skipped += 1  # constraint-violating tuple, e.g. case A with a = b
             continue
         checked += 1
-        if not args.assertions:
-            continue
+        # every tuple is checked, so data that fails validation is a
+        # failure even when nothing is asserted
         try:
-            report, detail = chern_report(data), None
+            report = chern_report(data)
         except ToolkitError as exc:
-            report, detail = None, f"{type(exc).__name__}: {exc}"
-        for name, expected in args.assertions:
-            actual = getattr(report, name) if report is not None else None
-            if actual != expected:
-                if len(failures) < args.max_failures:
-                    failures.append({
-                        "params": list(params),
-                        "invariant": name,
-                        "expected": format_rational(expected),
-                        "actual": format_rational(actual) if actual is not None else detail,
-                    })
-                else:
-                    unlisted += 1
+            misses = [(None, None, f"{type(exc).__name__}: {exc}")]
+        else:
+            misses = [(name, format_rational(expected), format_rational(getattr(report, name)))
+                      for name, expected in args.assertions if getattr(report, name) != expected]
+        for name, expected, actual in misses:
+            if len(failures) < args.max_failures:
+                failures.append({"params": list(params), "invariant": name,
+                                 "expected": expected, "actual": actual})
+            else:
+                unlisted += 1
     payload = {
         "case": args.case.value,
         "assertions": [f"{name}={format_rational(v)}" for name, v in args.assertions],

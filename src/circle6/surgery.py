@@ -21,7 +21,9 @@ This module also computes the parity calculus of circle framings: an
 embedded circle in a manifold of dimension >= 4 has exactly two framing
 classes (pi_1 of the rotation group), a free orbit has a canonical
 equivariant framing, and for the standard sphere actions that class is
-always the nontrivial one.
+always the nontrivial one. `recognize_diffeotype` names the two
+diffeomorphism types the package recognizes: S^4 x S^2 for a sum of two
+standard 6-spheres, the quadric Q^3 for case-F data on a formal manifold.
 
 Everything here is exact except `verify_framing_reversal_identity`, the
 one floating-point computation in the package, which samples the collar
@@ -40,7 +42,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from .core import (FixedPoint, FixedPointData, HomologyProfile, SPHERE_PROFILE,
                    Violation, _is_int, _json_fields, _require_dataset,
                    _require_integer_weights, _require_valid, disjoint_union)
-from .classifier import recognize_diffeotype
+from .classifier import CaseTag, classify
 from .errors import (BadArgument, BadDimensions, InvalidData, MissingProfile,
                      NotAdmissible, NotSimplyConnected, WrongDimension)
 
@@ -188,6 +190,13 @@ def is_sphere_summand(data: FixedPointData, profile: HomologyProfile) -> bool:
     return sum(w1) == 0 and sorted(w2) == sorted(-w for w in w1)
 
 
+# the provenance label `kustarev_sum` writes and `recognize_diffeotype` reads
+_KUSTAREV_SUM = "kustarev-sum"
+
+QUADRIC_Q3 = "quadric Q^3"
+S4_X_S2 = "S^4 x S^2"
+
+
 @dataclass(frozen=True)
 class SumReport:
     """What the composition gate and bookkeeping concluded."""
@@ -271,7 +280,7 @@ def kustarev_sum(
     )
     kinds = ("S^6" if is_sphere_summand(d1, h1) else "generic",
              "S^6" if is_sphere_summand(d2, h2) else "generic")
-    labels = {"construction": "kustarev-sum", "summands": ",".join(kinds)}
+    labels = {"construction": _KUSTAREV_SUM, "summands": ",".join(kinds)}
     data = replace(disjoint_union(d1, d2), homology=homology, labels=labels)
     diffeotype = recognize_diffeotype(data, homology)
     report = SumReport(
@@ -293,6 +302,33 @@ def equivariantly_formal(profile: HomologyProfile, integral: bool = False) -> bo
     if not profile.simply_connected or profile.b3 != 0:
         return False
     return profile.torsion_free if integral else True
+
+
+def recognize_diffeotype(data: FixedPointData, profile: HomologyProfile) -> str | None:
+    """Name the diffeomorphism type when one of the recognition rules applies.
+
+    `equivariantly_formal(profile, integral=True)` checks the profile
+    before any rule runs. Then two rules, in this order; anything else
+    returns None rather than guessing:
+
+    * data that `kustarev_sum` labelled as the sum of two standard 6-spheres
+      is S^4 x S^2;
+    * 4-point data on an integrally formal profile (simply connected,
+      torsion-free, b3 = 0) that matches case F is the quadric 3-fold. Only
+      this rule classifies, and only on a formal profile.
+    """
+    _require_dataset(data)
+    formal = equivariantly_formal(profile, integral=True)
+    # the two rules are mutually exclusive (case-F rows have nonzero weight
+    # sums, sphere-sum rows sum to zero), so the cheap provenance check goes
+    # first and spares sum data a classification pass
+    labels = data.labels
+    if labels.get("construction") == _KUSTAREV_SUM and labels.get("summands") == "S^6,S^6":
+        return S4_X_S2
+    if formal and len(data.points) == 4 and any(
+            m.case.tag is CaseTag.F_BlC_S6 for m in classify(data).matches):
+        return QUADRIC_Q3
+    return None
 
 
 # ---------------------------------------------------------------------------

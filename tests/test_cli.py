@@ -362,6 +362,17 @@ def test_sweep_asserts_on_validated_data_only(capsys):
     assert failure["actual"].startswith("InvalidData: ZeroWeight")
 
 
+def test_sweep_without_assertions_still_validates_every_tuple(capsys):
+    code, payload = _run_json(capsys, ["sweep", "--case", "C", "--a=0..0"])
+    assert code == 1
+    assert payload["ok"] is False
+    assert payload["checked"] == 1
+    [failure] = payload["failures"]
+    assert failure["params"] == [0]
+    assert failure["invariant"] is None and failure["expected"] is None
+    assert failure["actual"].startswith("InvalidData: ZeroWeight")
+
+
 def test_graph_with_a_negative_cap_is_a_bad_argument(tmp_path, capsys):
     f = _write_sphere(tmp_path / "s6.json", homology=False)
     code, payload = _run_json(capsys, ["graph", str(f), "--cap", "-1"])

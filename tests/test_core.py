@@ -29,7 +29,9 @@ from circle6 import (
     document,
     exoticness_obstruction,
     format_rational,
+    gen_family,
     is_sphere_summand,
+    jang_case,
     kustarev_sum,
     load,
     negate_all,
@@ -146,7 +148,8 @@ def test_a_dataset_with_a_non_integer_weight_is_a_bad_argument(op, weight):
 
 # The junk pool of the API contract below; extend it rather than adding a
 # test per leak.
-_POOL = [None, "x", 1.5, True, -1, 0, [], (1,), standard_sphere(1, 2)]
+_POOL = [None, "x", 1.5, True, -1, 0, [], (1,), standard_sphere(1, 2),
+         gen_family(jang_case("F", 1, 1))]
 
 
 def test_every_public_function_returns_or_raises_a_toolkit_error():

@@ -18,6 +18,7 @@ from circle6 import (
     MissingProfile,
     NotAdmissible,
     NotSimplyConnected,
+    QUADRIC_Q3,
     S4_X_S2,
     SPHERE_PROFILE,
     WrongDimension,
@@ -33,6 +34,7 @@ from circle6 import (
     kustarev_admissible,
     kustarev_sum,
     psi_flip,
+    recognize_diffeotype,
     rotation_loop_class,
     stable_pi_so_mod_u,
     standard_sphere,
@@ -257,6 +259,23 @@ def test_formality():
         equivariantly_formal(None)
     ks = kustarev_sum(standard_sphere(1, 1), None, standard_sphere(2, 1), None)
     assert equivariantly_formal(ks.homology, integral=True)
+
+
+def test_recognition_classifies_only_on_a_formal_profile(monkeypatch):
+    calls = []
+
+    def counting_classify(data):
+        calls.append(data)
+        return classify(data)
+
+    # patched where recognize_diffeotype looks it up
+    monkeypatch.setitem(recognize_diffeotype.__globals__, "classify", counting_classify)
+    d = gen_family(jang_case("F", 1, 1))
+    for not_formal in (HomologyProfile(True, 2, 2, True), HomologyProfile(True, 1, 0, False)):
+        assert recognize_diffeotype(d, not_formal) is None
+    assert calls == []
+    assert recognize_diffeotype(d, HomologyProfile(True, 1, 0, True)) == QUADRIC_Q3
+    assert calls == [d]
 
 
 # ---- gluing identity ---------------------------------------------------------
