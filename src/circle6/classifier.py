@@ -21,8 +21,10 @@ At import `_plan` checks that every slot not all forced positive has a
 forced-negative entry, so the number of all-positive slots is the Todd
 genus of every member, and it records the case's c_1^3 when a few sampled
 members agree on it (64, 54, 0, -8, -2 for cases A, B, D, E, F; case C's
-72 - 2a^2 varies, so C is not keyed). `classify` computes the data's
-c_1^3 once, since for n = 3 it does not change under reversal.
+72 - 2a^2 varies, so C is not keyed). `classify` runs the localization
+layer's integer pass once: its c_1^3 keys both orientations, since for
+n = 3 it does not change under reversal, and its N_0 and N_3 are the Todd
+genus of the data and of its reversal.
 
 For each case tried the matcher takes only the (point, weight order)
 choices for the pinning slots that the forced signs allow, and reads the
@@ -40,12 +42,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from itertools import permutations, product
 from typing import Callable, Mapping
 
 from .core import FixedPointData, _is_int, _require_valid, dataset
 from .errors import BadArgument, BadParams, WrongDimension, WrongPointCount
-from .localization import _c1_cubed_terms
+from .localization import _integer_pass
 
 
 class CaseTag(Enum):
@@ -193,20 +196,18 @@ class _Pin:
 
 @dataclass(frozen=True)
 class _Plan:
-    """How to match one case: its tag, template and positivity flag, and
-    the pinned slots its parameters are read off, in the order taken. n0 is
-    the number of slots whose entries are all forced positive; `_plan`
-    checks that every other slot has a forced-negative entry, so n0 is the
-    number of all-positive points of every member (its Todd genus). c1 is
-    the c_1^3 of every member when the sampled members agree on it, else
-    None."""
+    """How to match one case: its tag and template, and the pinned slots
+    its parameters are read off, in the order taken. n0 is the number of
+    slots whose entries are all forced positive; `_plan` checks that every
+    other slot has a forced-negative entry, so n0 is the number of
+    all-positive points of every member (its Todd genus). c1 is the c_1^3
+    of every member when the sampled members agree on it, else None."""
 
     tag: CaseTag
     fn: Callable[..., tuple]
-    positive: bool
     pins: tuple[_Pin, ...]
     n0: int
-    c1: int | None
+    c1: Fraction | None
 
 
 def _plan(tag: CaseTag) -> _Plan:
@@ -244,19 +245,13 @@ def _plan(tag: CaseTag) -> _Plan:
     # c1: the value a few admissible members share; a case whose c_1^3
     # depends on its parameters (case C: 72 - 2a^2) gets None, so keying on
     # it never drops a member the sample did not see
-    c1s = {_integral_c1(fn(*params)) for params in (s[:len(names)] for s in _C1_SAMPLES)
+    c1s = {_integer_pass(fn(*params), 3)[0] for params in (s[:len(names)] for s in _C1_SAMPLES)
            if _admissible(tag, positive, params)}
-    return _Plan(tag, fn, positive, tuple(pins), sum(min(t[-1]) > 0 for t in slots),
+    return _Plan(tag, fn, tuple(pins), sum(min(t[-1]) > 0 for t in slots),
                  c1s.pop() if len(c1s) == 1 else None)
 
 
 _C1_SAMPLES = ((1, 2, 3, 4), (2, 3, 4, 5), (3, 4, 5, 6))
-
-
-def _integral_c1(rows) -> int | None:
-    """c_1^3 of valid weight rows when it is an integer, else None."""
-    num, den = _c1_cubed_terms(rows)
-    return num // den if num % den == 0 else None
 
 
 _PLANS = {tag: _plan(tag) for tag in CaseTag}
@@ -326,9 +321,6 @@ class ClassificationResult:
 
     matches: tuple[CaseMatch, ...]
 
-    def tags(self) -> set[CaseTag]:
-        return {m.case.tag for m in self.matches}
-
     def __bool__(self) -> bool:
         return bool(self.matches)
 
@@ -353,14 +345,14 @@ def classify(data: FixedPointData) -> ClassificationResult:
     names = data.names()
     rows = data.weight_rows()
     # for n = 3, c_1^3 does not change when every weight is negated, so one
-    # value keys both passes; no member has a non-integral one, and None
-    # then keeps only the unkeyed cases
-    c1 = _integral_c1(rows)
+    # value keys both passes (no member has a non-integral one); reversal
+    # swaps the all-positive and all-negative points, so N_3 is its Todd genus
+    c1, counts = _integer_pass(rows, 3)
     # keyed by case position, so sorting the keys gives CaseTag order
     found: dict[tuple[int, tuple[int, ...], bool], tuple[CaseTag, tuple[str, ...]]] = {}
     for rev in (False, True):
         pts = rows if not rev else tuple(tuple(-w for w in ws) for ws in rows)
-        n0 = sum(1 for ws in pts if all(w > 0 for w in ws))
+        n0 = counts[3 if rev else 0]
         cases = [(pos, plan) for pos, plan in enumerate(_PLANS.values())
                  if plan.n0 == n0 and (plan.c1 is None or plan.c1 == c1)]
         if not cases:

@@ -27,7 +27,7 @@ from .classifier import (CaseTag, JangCase, classify, gen_family, jang_case,
                          param_names)
 from .core import format_rational, parse_rational
 from .errors import BadArgument, ParseError, ToolkitError, ValidationError
-from .localization import c1_cubed, chern_report, chi_y_profile
+from .localization import _localize, chern_report
 from .multigraph import DEFAULT_MATCHING_CAP, build_multigraphs, connectivity_verdict
 from .surgery import (DimensionPair, equivariant_normal_framing_class,
                       kustarev_admissible, kustarev_sum, rotation_loop_class,
@@ -184,9 +184,9 @@ def _cmd_validate(args):
 def _cmd_localize(args):
     data = core.load(args.file)
     if args.raw:
-        coeffs = chi_y_profile(data)
+        value, coeffs = _localize(data)
         return 0, {
-            "c1_cubed": format_rational(c1_cubed(data)),
+            "c1_cubed": format_rational(value),
             "chi_y_coeffs": coeffs,
             "euler": len(data.points),
             "todd": coeffs[0],

@@ -49,10 +49,6 @@ class FixedPoint:
     name: str
     weights: WeightVector
 
-    def negatives(self) -> int:
-        """Number of negative weights at this point."""
-        return sum(1 for w in self.weights if isinstance(w, int) and w < 0)
-
 
 @dataclass(frozen=True)
 class HomologyProfile:

@@ -35,32 +35,38 @@ def c1_cubed(data: FixedPointData) -> Fraction:
     Returns the raw rational without an integrality gate; use
     :func:`chern_report` to insist the dataset is consistent.
     """
-    _require_valid(data)
-    if data.n != 3:
-        raise WrongDimension(f"c_1^3 is defined for n = 3, got n = {data.n}")
-    return Fraction(*_c1_cubed_terms(data.weight_rows()))
-
-
-def _c1_cubed_terms(rows) -> tuple[int, int]:
-    """The c_1^3 sum over weight rows as (numerator, lcm(e_p)): one integer
-    pass over the common denominator of the Euler classes e_p. The rows
-    must be free of zeros; the caller has validated them."""
-    euler = [prod(ws) for ws in rows]
-    common = lcm(*euler)
-    return sum(sum(ws) ** 3 * (common // e) for ws, e in zip(rows, euler)), common
+    return _localize(data)[0]
 
 
 def chi_y_profile(data: FixedPointData) -> list[int]:
     """Coefficients N_0 ... N_n counting points by number of negative weights."""
     _require_valid(data)
-    return _chi_y_counts(data)
+    return _integer_pass(data.weight_rows(), data.n)[1]
 
 
-def _chi_y_counts(data: FixedPointData) -> list[int]:
-    counts = [0] * (data.n + 1)
-    for p in data.points:
-        counts[p.negatives()] += 1
-    return counts
+def _localize(data: FixedPointData) -> tuple[Fraction, list[int]]:
+    """Validate once, insist on n = 3, and run the integer pass."""
+    _require_valid(data)
+    if data.n != 3:
+        raise WrongDimension(f"c_1^3 is defined for n = 3, got n = {data.n}")
+    return _integer_pass(data.weight_rows(), 3)
+
+
+def _integer_pass(rows, n: int) -> tuple[Fraction, list[int]]:
+    """One pass over weight rows: the sum of (w_1 + ... + w_n)^3 / e_p,
+    accumulated over the common denominator lcm(e_p) of the Euler classes
+    e_p = w_1 * ... * w_n, and the counts N_0 ... N_n of points by number
+    of negative weights. The sum is c_1^3 only when n = 3. The rows must
+    be free of zeros; the caller has validated them."""
+    counts = [0] * (n + 1)
+    num, common = 0, 1
+    for ws in rows:
+        counts[len([w for w in ws if w < 0])] += 1
+        e = prod(ws)
+        step = lcm(common, e)
+        num = num * (step // common) + sum(ws) ** 3 * (step // e)
+        common = step
+    return Fraction(num, common), counts
 
 
 def todd_genus(data: FixedPointData) -> int:
@@ -93,10 +99,9 @@ def chern_report(data: FixedPointData) -> ChernReport:
     Raises NonIntegralChernNumber when the c_1^3 sum has a denominator:
     such weight data cannot come from a closed almost complex manifold.
     """
-    value = c1_cubed(data)
+    value, coeffs = _localize(data)
     if value.denominator != 1:
         raise NonIntegralChernNumber(value)
-    coeffs = _chi_y_counts(data)   # data was validated by c1_cubed
     n0 = coeffs[0]
     return ChernReport(
         c1_cubed=value,

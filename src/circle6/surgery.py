@@ -282,7 +282,7 @@ def kustarev_sum(
              "S^6" if is_sphere_summand(d2, h2) else "generic")
     labels = {"construction": _KUSTAREV_SUM, "summands": ",".join(kinds)}
     data = replace(disjoint_union(d1, d2), homology=homology, labels=labels)
-    diffeotype = recognize_diffeotype(data, homology)
+    diffeotype = _diffeotype(data, homology)   # valid by the composition formulas
     report = SumReport(
         n=d1.n, k=1, exists=True, unique=adm.unique,
         b2=homology.b2, b3=homology.b3, euler=len(data.points),
@@ -307,9 +307,9 @@ def equivariantly_formal(profile: HomologyProfile, integral: bool = False) -> bo
 def recognize_diffeotype(data: FixedPointData, profile: HomologyProfile) -> str | None:
     """Name the diffeomorphism type when one of the recognition rules applies.
 
-    `equivariantly_formal(profile, integral=True)` checks the profile
-    before any rule runs. Then two rules, in this order; anything else
-    returns None rather than guessing:
+    The data is validated first, and `equivariantly_formal(profile,
+    integral=True)` checks the profile, before any rule runs. Then two
+    rules, in this order; anything else returns None rather than guessing:
 
     * data that `kustarev_sum` labelled as the sum of two standard 6-spheres
       is S^4 x S^2;
@@ -317,7 +317,12 @@ def recognize_diffeotype(data: FixedPointData, profile: HomologyProfile) -> str 
       torsion-free, b3 = 0) that matches case F is the quadric 3-fold. Only
       this rule classifies, and only on a formal profile.
     """
-    _require_dataset(data)
+    _require_valid(data)
+    return _diffeotype(data, profile)
+
+
+def _diffeotype(data: FixedPointData, profile: HomologyProfile) -> str | None:
+    """The recognition rules of `recognize_diffeotype`, on valid data."""
     formal = equivariantly_formal(profile, integral=True)
     # the two rules are mutually exclusive (case-F rows have nonzero weight
     # sums, sphere-sum rows sum to zero), so the cheap provenance check goes

@@ -45,3 +45,21 @@ def validate_calls(monkeypatch):
 
     monkeypatch.setattr(core, "validate", counting)
     return calls
+
+
+@pytest.fixture
+def pass_calls(monkeypatch):
+    """Every row tuple given to the localization layer's integer pass while
+    the test runs, in call order. The pass is patched where each caller
+    looks it up: the localization module and the classifier."""
+    from circle6 import classifier, localization
+    calls = []
+    original = localization._integer_pass
+
+    def counting(rows, n):
+        calls.append(rows)
+        return original(rows, n)
+
+    for module in (localization, classifier):
+        monkeypatch.setattr(module, "_integer_pass", counting)
+    return calls

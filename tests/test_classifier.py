@@ -178,14 +178,14 @@ def test_a_slot_neither_all_positive_nor_forced_negative_fails_the_plan(monkeypa
 
 
 def test_reading_the_pinned_slots_recovers_the_parameters():
-    from circle6.classifier import _PLANS, _admissible
+    from circle6.classifier import _FAMILIES, _PLANS, _admissible
     rng = random.Random(31)
     for _ in range(600):
         tag = rng.choice(ALL_TAGS)
         k = len(param_names(tag))
         lo = -40 if tag is CaseTag.C_Fano else 1
         params = tuple(rng.randint(lo, 40) for _ in range(k))
-        if not _admissible(tag, _PLANS[tag].positive, params):
+        if not _admissible(tag, _FAMILIES[tag][2], params):
             continue
         rows = gen_family(jang_case(tag, *params)).weight_rows()
         read = {i: sign * rows[pin.slot][e]
@@ -456,12 +456,12 @@ def _triples(result):
 @settings(max_examples=300, deadline=None)
 @given(tag=st.sampled_from(ALL_TAGS), data=st.data())
 def test_the_self_check_never_prunes_the_generating_parameters(tag, data):
-    from circle6.classifier import _PLANS, _admissible, _candidates, _orders_by_sign
+    from circle6.classifier import _FAMILIES, _PLANS, _admissible, _candidates, _orders_by_sign
     plan = _PLANS[tag]
     k = len(param_names(tag))
     lo = -30 if tag is CaseTag.C_Fano else 1
     params = tuple(data.draw(st.lists(st.integers(lo, 30).filter(bool), min_size=k, max_size=k)))
-    assume(_admissible(tag, plan.positive, params))
+    assume(_admissible(tag, _FAMILIES[tag][2], params))
     member = gen_family(jang_case(tag, *params)).weight_rows()
     rows = [tuple(data.draw(st.permutations(ws))) for ws in member]
     reversed_ = data.draw(st.booleans())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -276,6 +277,18 @@ def test_recognition_classifies_only_on_a_formal_profile(monkeypatch):
     assert calls == []
     assert recognize_diffeotype(d, HomologyProfile(True, 1, 0, True)) == QUADRIC_Q3
     assert calls == [d]
+
+
+
+def test_recognition_validates_the_data_first():
+    # the case-C member at a = 0 carries zero weights: it is refused on a
+    # formal and on a non-formal profile, and sum labels do not vouch for it
+    bad = gen_family(jang_case("C", 0))
+    labels = kustarev_sum(standard_sphere(1, 1), None, standard_sphere(1, 2), None).data.labels
+    for d in (bad, replace(bad, labels=labels)):
+        for profile in (HomologyProfile(True, 1, 0, True), HomologyProfile(True, 2, 2, True)):
+            with pytest.raises(InvalidData):
+                recognize_diffeotype(d, profile)
 
 
 # ---- gluing identity ---------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Each public operation validates its dataset argument exactly once."""
+"""Each public operation validates its dataset argument exactly once, and
+runs the localization layer's integer pass at most once."""
 
 from __future__ import annotations
 
@@ -35,6 +36,28 @@ def test_cli_localize_validates_on_load_and_in_the_report(tmp_path, capsys,
     assert run(["localize", str(f)]) == 0
     assert json.loads(capsys.readouterr().out)["euler"] == 2
     assert len(validate_calls) == 2
+
+
+def test_each_operation_runs_the_integer_pass_once(pass_calls):
+    d = sphere_data()
+    for op in (c1_cubed, chi_y_profile, chern_report):
+        pass_calls.clear()
+        op(d)
+        assert pass_calls == [d.weight_rows()], op.__name__
+    member = gen_family(jang_case("A", 1, 2, 3))
+    pass_calls.clear()
+    classify(member)
+    assert pass_calls == [member.weight_rows()]
+
+
+def test_cli_localize_raw_validates_twice_and_runs_the_integer_pass_once(
+        tmp_path, capsys, validate_calls, pass_calls):
+    f = tmp_path / "s6.json"
+    save(standard_sphere(1, 2), f)
+    assert run(["localize", "--raw", str(f)]) == 0
+    assert json.loads(capsys.readouterr().out)["chi_y_coeffs"] == [0, 1, 1, 0]
+    assert len(validate_calls) == 2
+    assert len(pass_calls) == 1
 
 
 def test_sweep_validates_once_per_checked_tuple(capsys, validate_calls):
