@@ -337,6 +337,11 @@ def classify(data: FixedPointData) -> ClassificationResult:
     point.
     """
     _require_valid(data)
+    return _classify(data)
+
+
+def _classify(data: FixedPointData) -> ClassificationResult:
+    """`classify` on valid data."""
     if data.n != 3:
         raise WrongDimension(f"classification needs n = 3, got n = {data.n}")
     if len(data.points) != 4:

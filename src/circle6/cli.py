@@ -226,7 +226,7 @@ def _cmd_graph(args):
     return 0, {
         "count": len(graphs),
         "verdict": verdict.value,
-        "graphs": [{**core._json_fields(g), "connected": g.is_connected} for g in graphs],
+        "graphs": [{**g._asdict(), "connected": g.is_connected} for g in graphs],
     }
 
 

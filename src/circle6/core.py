@@ -72,16 +72,16 @@ SPHERE_PROFILE = HomologyProfile(simply_connected=True, b2=0, b3=0, torsion_free
 class FixedPointData:
     """A full dataset: half-dimension, named fixed points, optional extras.
 
-    Instances are immutable values; every operation in this package is a
-    pure function of its inputs, so datasets may be shared freely between
-    threads. Construction does not validate: run :func:`validate` (or go
-    through :func:`load`, which refuses invalid documents).
+    Instances are immutable values (labels count in equality, not in the
+    hash); every operation in this package is a pure function of its inputs,
+    so datasets may be shared freely between threads. Construction does not
+    validate: run :func:`validate` (or go through :func:`load`).
     """
 
     n: int
     points: tuple[FixedPoint, ...]
     homology: HomologyProfile | None = None
-    labels: Mapping[str, str] = field(default_factory=dict)
+    labels: Mapping[str, str] = field(default_factory=dict, hash=False)
 
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.points)

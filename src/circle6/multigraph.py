@@ -18,10 +18,11 @@ to (i, j') and (i', j) changes the edge multiset, even where points carry
 both signs. A forced magnitude is never walked: each cell takes the
 smaller margin, in one leading level of one choice. The graphs form the
 product of the other magnitudes' choices, ascending, the largest varying
-fastest. One breadth-first fold builds every graph, `make_graph`'s
-included: it keeps each prefix of choices once, as its edges and its
-component labelling, and one union-find pass extends a labelling by the
-edges of a choice.
+fastest. One breadth-first fold over labelled (u, v, m) edges builds
+every graph, `make_graph`'s included: it keeps each prefix of choices
+once, as its edges and its component labelling, one union-find pass
+extends a labelling by the edges of a choice, and one loop over the last
+prefixes emits each graph as one named tuple (vertices, edges, components).
 
 Refusal comes first. In ascending order, a forced magnitude counts 1;
 another is enumerated when some point carries both +m and -m (only then
@@ -38,11 +39,11 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from math import factorial, gcd, prod
 from operator import mul, sub
+from typing import NamedTuple
 
 from .core import FixedPointData, _is_int, _require_integer_weights, _require_valid
 from .errors import BadArgument, BadWeights, CapExceeded, UnpairableWeights
@@ -52,9 +53,9 @@ from .errors import BadArgument, BadWeights, CapExceeded, UnpairableWeights
 DEFAULT_MATCHING_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class Multigraph:
-    """Undirected multigraph on fixed points; loops allowed.
+class Multigraph(NamedTuple):
+    """Undirected multigraph on fixed points; loops allowed. A named tuple:
+    it unpacks, compares and hashes as the plain 3-tuple.
 
     edges are canonical (u, v, label) triples with u <= v, sorted;
     components is the sorted partition of the vertices. A loop contributes
@@ -121,13 +122,13 @@ def make_graph(vertices, edges) -> Multigraph:
     return _graphs(verts, [[canon]])[0]
 
 
-def _distinct_pairings(rows: list, cols: list, cap: int) -> list[tuple]:
+def _distinct_pairings(m: int, rows: list, cols: list, cap: int) -> list[tuple]:
     """Distinct ways to pair each positive occurrence with a negative one,
-    given one magnitude's record; at most cap + 1 of them.
+    given one magnitude's record (m, rows, cols); at most cap + 1 of them.
 
-    Returns canonical edge multisets (sorted tuples of vertex pairs) in
-    lexicographic order of the contingency tables on the record's rows and
-    columns, each row in turn taking a nondecreasing multiset of the
+    Returns canonical edge multisets (sorted tuples of (u, v, m) triples,
+    u <= v) in lexicographic order of the contingency tables on the rows
+    and columns, each row in turn taking a nondecreasing multiset of the
     remaining partners, smallest first: the first-seen order of pairing
     occurrences one at a time. Distinct tables give distinct edge
     multisets unless a point carries both +m and -m (then (p, q) and
@@ -137,12 +138,12 @@ def _distinct_pairings(rows: list, cols: list, cap: int) -> list[tuple]:
     generators; the last row takes what is left. The walk stops once it
     holds more than `cap` keys, which is all a caller needs to refuse.
     """
-    # each cell's pair as a 1-tuple, so that cell * units repeats it
-    cells = [[((p, q) if p <= q else (q, p),) for q, _ in cols] for p, _ in rows]
+    # each cell's edge as a 1-tuple, so that cell * units repeats it
+    cells = [[((p, q, m) if p <= q else (q, p, m),) for q, _ in cols] for p, _ in rows]
     last = len(rows) - 1
     out: dict[tuple, None] = {}
     # per row being filled: its fills, the column sums left before it and
-    # the pairs of the rows above it
+    # the edges of the rows above it
     rem = tuple(c for _, c in cols)
     stack = [(_fills(rows[0][1], rem), rem, ())]
     while stack:
@@ -154,7 +155,7 @@ def _distinct_pairings(rows: list, cols: list, cap: int) -> list[tuple]:
         i = len(stack)          # the next row
         rem = tuple(map(sub, above, got))
         # only the cells a row fills (no more than its occurrences) copy
-        # the pairs above it here; adding an empty tuple copies nothing
+        # the edges above it here; adding an empty tuple copies nothing
         taken = sum(map(mul, cells[i - 1], got), acc)
         if i < last:
             stack.append((_fills(rows[i][1], rem), rem, taken))
@@ -280,7 +281,7 @@ def build_multigraphs(data: FixedPointData, cap: int = DEFAULT_MATCHING_CAP) -> 
                        for p, r in rows for q, c in cols for _ in range(min(r, c))]
             count = 1
         elif {p for p, _ in rows} & {q for q, _ in cols}:
-            choices[m] = _distinct_pairings(rows, cols, cap)
+            choices[m] = _distinct_pairings(m, rows, cols, cap)
             count = len(choices[m])
         else:
             count = _table_count([k for _, k in rows], [k for _, k in cols], cap + 1)
@@ -291,9 +292,8 @@ def build_multigraphs(data: FixedPointData, cap: int = DEFAULT_MATCHING_CAP) -> 
             break
     if total > cap:     # also the empty pairing of a dataset with no weights
         raise CapExceeded(f"more than {cap} distinct pairings overall")
-    levels = [[tuple((u, v, m) for u, v in key) for key in (
-        choices[m] if m in choices else _distinct_pairings(rows, cols, cap))]
-        for m, rows, cols in magnitudes if len(rows) > 1 and len(cols) > 1]
+    levels = [choices[m] if m in choices else _distinct_pairings(m, rows, cols, cap)
+              for m, rows, cols in magnitudes if len(rows) > 1 and len(cols) > 1]
     return _graphs(data.names(), [[tuple(single)], *levels])
 
 
@@ -306,8 +306,9 @@ def _graphs(vertices: tuple[str, ...], levels: list[list[tuple]]) -> list[Multig
     each rank to the least rank in its component. The fold extends every
     prefix of choices by one level at a time, keeping each prefix once as
     its edges and labelling; what a level's choices make of a labelling is
-    cached by that labelling. The last level emits the graphs, consuming
-    the prefixes as it goes, and only the final edge lists are sorted.
+    cached by that labelling. One loop over the last prefixes emits the
+    graphs, reading each row's components off the joined labelling (cached
+    by the prefix's labelling); only the final edge lists are sorted.
     """
     names = sorted(vertices)
     rank = {v: r for r, v in enumerate(names)}
@@ -327,25 +328,17 @@ def _graphs(vertices: tuple[str, ...], levels: list[list[tuple]]) -> list[Multig
         prefixes = grown
     # last level: the labelling above it -> the components after each choice
     steps = {}
-    partitions: dict[tuple[int, ...], tuple[tuple[str, ...], ...]] = {}
-
-    def components(label):
-        comps = partitions.get(label)
-        if comps is None:
-            groups: dict[int, list[str]] = {}
-            for r, least in enumerate(label):
-                groups.setdefault(least, []).append(names[r])
-            # groups appear in order of their least rank, i.e. sorted
-            comps = partitions[label] = tuple(tuple(g) for g in groups.values())
-        return comps
-
     graphs = []
-    prefixes.reverse()
-    while prefixes:
-        edges, label = prefixes.pop()
+    for edges, label in prefixes:
         row = steps.get(label)
         if row is None:
-            row = steps[label] = [components(_join(label, links)) for _, links in bottom]
+            row = steps[label] = []
+            for _, links in bottom:
+                groups: dict[int, list[str]] = {}
+                for r, least in enumerate(_join(label, links)):
+                    groups.setdefault(least, []).append(names[r])
+                # groups appear in order of their least rank, i.e. sorted
+                row.append(tuple(map(tuple, groups.values())))
         for (triples, _), comps in zip(bottom, row):
             graphs.append(Multigraph(vertices, tuple(sorted(edges + triples)), comps))
     return graphs

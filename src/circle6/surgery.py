@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from .core import (FixedPoint, FixedPointData, HomologyProfile, SPHERE_PROFILE,
                    Violation, _is_int, _json_fields, _require_dataset,
                    _require_integer_weights, _require_valid, disjoint_union)
-from .classifier import CaseTag, classify
+from .classifier import CaseTag, _classify
 from .errors import (BadArgument, BadDimensions, InvalidData, MissingProfile,
                      NotAdmissible, NotSimplyConnected, WrongDimension)
 
@@ -331,7 +331,7 @@ def _diffeotype(data: FixedPointData, profile: HomologyProfile) -> str | None:
     if labels.get("construction") == _KUSTAREV_SUM and labels.get("summands") == "S^6,S^6":
         return S4_X_S2
     if formal and len(data.points) == 4 and any(
-            m.case.tag is CaseTag.F_BlC_S6 for m in classify(data).matches):
+            m.case.tag is CaseTag.F_BlC_S6 for m in _classify(data).matches):
         return QUADRIC_Q3
     return None
 

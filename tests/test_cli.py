@@ -125,6 +125,19 @@ def test_graph_with_dot_export(tmp_path, capsys):
     assert 'graph g0 {' in text and '"p1" -- "p2" [label="3"];' in text
 
 
+def test_graph_payload_keys(tmp_path, capsys):
+    f = _write_sphere(tmp_path / "s6.json", homology=False)
+    code, payload = _run_json(capsys, ["graph", str(f)])
+    assert code == 0
+    assert list(payload) == ["count", "graphs", "verdict"]
+    assert payload["graphs"] == [{
+        "components": [["p1", "p2"]],
+        "connected": True,
+        "edges": [["p1", "p2", 1], ["p1", "p2", 2], ["p1", "p2", 3]],
+        "vertices": ["p1", "p2"],
+    }]
+
+
 def test_sum_writes_a_loadable_document(tmp_path, capsys):
     f1 = _write_sphere(tmp_path / "a.json", 1, 2)
     f2 = _write_sphere(tmp_path / "b.json", 4, 5)

@@ -271,6 +271,19 @@ def test_save_load_round_trip_is_identity(tmp_path):
         assert load(io.StringIO(buf.getvalue())) == d
 
 
+def test_datasets_hash_by_value_and_labels_count_in_equality_only():
+    a, b = standard_sphere(1, 2), standard_sphere(1, 2)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    labelled = dataset(a.n, [(p.name, p.weights) for p in a.points], a.homology,
+                       {"run": "1"})
+    assert labelled != a
+    assert len({a, labelled}) == 2
+    # a sum result holds a labelled dataset, so it hashes too
+    total = kustarev_sum(a, None, b, None)
+    assert hash(total) == hash(kustarev_sum(a, None, b, None))
+
+
 @pytest.mark.parametrize("target", ["directory", "missing/x.json"])
 def test_save_to_an_unwritable_path_is_a_bad_argument(tmp_path, target):
     (tmp_path / "directory").mkdir()

@@ -49,6 +49,37 @@ def test_sphere_has_one_connected_pairing():
     assert connectivity_verdict(graphs) is ConnectivityVerdict.ALWAYS_CONNECTED
 
 
+def test_multigraph_is_a_named_tuple_record():
+    assert Multigraph._fields == ("vertices", "edges", "components")
+    g = build_multigraphs(sphere_data(1, 2))[0]
+    assert repr(g) == ("Multigraph(vertices=('p1', 'p2'), edges=(('p1', 'p2', 1), "
+                       "('p1', 'p2', 2), ('p1', 'p2', 3)), components=(('p1', 'p2'),))")
+    twin = make_graph(("p1", "p2"), [("p2", "p1", 3), ("p1", "p2", 1), ("p1", "p2", 2)])
+    assert twin is not g and twin == g and hash(twin) == hash(g)
+    assert len({g, twin}) == 1
+    vertices, edges, components = g
+    assert (vertices, edges, components) == (g.vertices, g.edges, g.components)
+    assert g._replace(components=()).components == ()
+    for name in ("vertices", "edges", "components", "label"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, ())
+
+
+def test_the_fold_over_twelve_two_choice_magnitudes():
+    # 8 spheres: 16 points, 12 magnitudes carried by two spheres each; per
+    # sphere pair, 2 of its 8 choices keep the two spheres apart
+    data = standard_sphere(1, 2)
+    for a, b in [(1, 2), (4, 8), (4, 8), (16, 32), (16, 32), (64, 128), (64, 128)]:
+        data = kustarev_sum(data, None, standard_sphere(a, b), None).data
+    assert len(data.points) == 16
+    graphs = build_multigraphs(data)
+    assert len(graphs) == 4_096 == raw_pairing_count(data)
+    assert connectivity_verdict(graphs) is ConnectivityVerdict.NEVER_CONNECTED
+    # C(4, j) 6^j 2^(4-j) graphs with j sphere pairs merged
+    assert Counter(len(g.components) for g in graphs) == {
+        4: 1296, 5: 1728, 6: 864, 7: 192, 8: 16}
+
+
 def test_sphere_union_family_is_never_connected_for_disjoint_magnitudes():
     # halves {1,2,3} and {4,5,9} share no magnitude, so no pairing can cross
     graphs = build_multigraphs(gen_family(jang_case("D", 1, 2, 4, 5)))
@@ -345,7 +376,8 @@ def test_one_pairing_exactly_when_one_row_or_one_column(margins):
     rows, cols = margins
     want = _occurrence_pairings([p for p, k in rows for _ in range(k)],
                                 [q for q, k in cols for _ in range(k)], 10**9)
-    assert _distinct_pairings(rows, cols, 10**9) == want
+    assert [tuple((u, v) for u, v, _ in key)
+            for key in _distinct_pairings(1, rows, cols, 10**9)] == want
     assert (len(want) == 1) == (len(rows) == 1 or len(cols) == 1)
 
 
@@ -427,7 +459,7 @@ def test_table_count_matches_the_enumerator_on_small_margins():
                     continue
                 pos = [(f"a{i}", count) for i, count in enumerate(rows)]
                 neg = [(f"b{j}", count) for j, count in enumerate(cols)]
-                tables = len(_distinct_pairings(pos, neg, cap=10**9))
+                tables = len(_distinct_pairings(1, pos, neg, cap=10**9))
                 assert _table_count(list(rows), list(cols), 10**9) == tables, (rows, cols)
                 checked += 1
     assert checked == 1912
@@ -496,11 +528,11 @@ def _recording_enumerator(monkeypatch):
     calls = []
     enumerate_, count = multigraph._distinct_pairings, multigraph._table_count
 
-    def enumerating(rows, cols, cap):
+    def enumerating(m, rows, cols, cap):
         overlap = bool({p for p, _ in rows} & {q for q, _ in cols})
         calls.append(("enumerate", sorted(k for _, k in rows), sorted(k for _, k in cols),
                       overlap))
-        return enumerate_(rows, cols, cap)
+        return enumerate_(m, rows, cols, cap)
 
     def counting(rows, cols, limit):
         calls.append(("count", sorted(rows), sorted(cols), None))

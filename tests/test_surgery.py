@@ -43,6 +43,7 @@ from circle6 import (
     validate,
     verify_framing_reversal_identity,
 )
+from circle6.classifier import _classify
 
 
 # ---- stable homotopy table -------------------------------------------------
@@ -267,10 +268,11 @@ def test_recognition_classifies_only_on_a_formal_profile(monkeypatch):
 
     def counting_classify(data):
         calls.append(data)
-        return classify(data)
+        return _classify(data)
 
-    # patched where recognize_diffeotype looks it up
-    monkeypatch.setitem(recognize_diffeotype.__globals__, "classify", counting_classify)
+    # patched where recognize_diffeotype looks up the classifier's entry
+    # for data it has already validated
+    monkeypatch.setitem(recognize_diffeotype.__globals__, "_classify", counting_classify)
     d = gen_family(jang_case("F", 1, 1))
     for not_formal in (HomologyProfile(True, 2, 2, True), HomologyProfile(True, 1, 0, False)):
         assert recognize_diffeotype(d, not_formal) is None

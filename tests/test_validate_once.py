@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import json
 
-from circle6 import (build_multigraphs, c1_cubed, chern_report, chi_y_profile,
-                     classify, gen_family, jang_case, kustarev_sum, save,
-                     standard_sphere)
+from circle6 import (QUADRIC_Q3, HomologyProfile, build_multigraphs, c1_cubed,
+                     chern_report, chi_y_profile, classify, gen_family, jang_case,
+                     kustarev_sum, recognize_diffeotype, save, standard_sphere)
 from circle6.cli import run
 
 from conftest import sphere_data
@@ -27,6 +27,13 @@ def test_each_layer_validates_once(validate_calls):
 def test_sum_of_two_spheres_validates_each_summand_once(validate_calls):
     kustarev_sum(standard_sphere(1, 2), None, standard_sphere(3, 4), None)
     assert [len(d.points) for d in validate_calls] == [2, 2]
+
+
+def test_recognition_validates_once(validate_calls):
+    # the case-F rule classifies data that recognition has already validated
+    member = gen_family(jang_case("F", 1, 1))
+    assert recognize_diffeotype(member, HomologyProfile(True, 1, 0, True)) == QUADRIC_Q3
+    assert validate_calls == [member]
 
 
 def test_cli_localize_validates_on_load_and_in_the_report(tmp_path, capsys,
