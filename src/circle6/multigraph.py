@@ -18,11 +18,11 @@ to (i, j') and (i', j) changes the edge multiset, even where points carry
 both signs. A forced magnitude is never walked: each cell takes the
 smaller margin, in one leading level of one choice. The graphs form the
 product of the other magnitudes' choices, ascending, the largest varying
-fastest. One breadth-first fold over labelled (u, v, m) edges builds
-every graph, `make_graph`'s included: it keeps each prefix of choices
-once, as its edges and its component labelling, one union-find pass
-extends a labelling by the edges of a choice, and one loop over the last
-prefixes emits each graph as one named tuple (vertices, edges, components).
+fastest. One breadth-first fold builds every graph, `make_graph`'s
+included. It keys each distinct (u, v, m) edge by its rank in sorted
+order and keeps each prefix of choices once, as its sorted int keys and
+a string labelling whose character per vertex is chr(least rank in its
+component); a link between two components relabels the larger by the smaller.
 
 Refusal comes first. In ascending order, a forced magnitude counts 1;
 another is enumerated when some point carries both +m and -m (only then
@@ -38,11 +38,12 @@ cannot exhaust the interpreter's recursion limit.
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from enum import Enum
 from itertools import accumulate
 from math import factorial, gcd, prod
-from operator import mul, sub
+from operator import attrgetter, itemgetter, mul, sub
 from typing import NamedTuple
 
 from .core import FixedPointData, _is_int, _require_integer_weights, _require_valid
@@ -106,19 +107,19 @@ class ConnectivityVerdict(Enum):
 
 def make_graph(vertices, edges) -> Multigraph:
     """Canonicalize raw (u, v, label) triples into a Multigraph; the
-    vertices must be distinct, every edge must join two of them and every
-    label must be a positive integer."""
+    vertices must be distinct nonempty strings, every edge must join two
+    of them and every label must be a positive integer."""
     try:    # junk of any shape fails one of these steps
         verts = tuple(vertices)
         canon = tuple((u, v, label) if u <= v else (v, u, label) for u, v, label in edges)
-        ok = (len(set(verts)) == len(verts)
+        ok = (all(isinstance(v, str) and v for v in verts) and len(set(verts)) == len(verts)
               and {x for u, v, _ in canon for x in (u, v)} <= set(verts)
               and all(_is_int(label) and label > 0 for _, _, label in canon))
     except (TypeError, ValueError):
         ok = False
     if not ok:
-        raise BadArgument("make_graph needs distinct vertices, edges between them "
-                          "and positive integer labels")
+        raise BadArgument("make_graph needs distinct nonempty string vertices, edges "
+                          "between them and positive integer labels")
     return _graphs(verts, [[canon]])[0]
 
 
@@ -302,68 +303,67 @@ def _graphs(vertices: tuple[str, ...], levels: list[list[tuple]]) -> list[Multig
     itertools.product order (last level fastest). A choice is a sequence
     of canonical (u, v, label) triples.
 
-    Vertices are ranked by sorted order, and a component labelling maps
-    each rank to the least rank in its component. The fold extends every
-    prefix of choices by one level at a time, keeping each prefix once as
-    its edges and labelling; what a level's choices make of a labelling is
-    cached by that labelling. One loop over the last prefixes emits the
-    graphs, reading each row's components off the joined labelling (cached
-    by the prefix's labelling); only the final edge lists are sorted.
+    Each distinct triple is keyed by its rank in sorted order. The fold
+    keeps each prefix of choices once, as its sorted keys and a component
+    labelling: a string whose character r is chr(least vertex rank in the
+    component of rank r). What a level's choices make of a labelling is
+    cached by that labelling, and so are the components of a joined
+    labelling; one itemgetter over each graph's keys emits its edges.
     """
     names = sorted(vertices)
+    if len(names) > sys.maxunicode + 1:     # one character per vertex rank
+        raise BadArgument(f"pairing graphs take at most {sys.maxunicode + 1} vertices")
     rank = {v: r for r, v in enumerate(names)}
-    # each choice as its triples and the distinct rank pairs it joins
-    *upper, bottom = [[(triples, tuple(dict.fromkeys(
-        (rank[u], rank[v]) for u, v, _ in triples if u != v))) for triples in level]
+    triples = sorted({t for level in levels for choice in level for t in choice})
+    key = {t: k for k, t in enumerate(triples)}
+    # each choice as its sorted keys and the distinct rank pairs it joins
+    *upper, bottom = [[(tuple(sorted(map(key.__getitem__, choice))), tuple(dict.fromkeys(
+        (rank[u], rank[v]) for u, v, _ in choice if u != v))) for choice in level]
         for level in levels]
-    prefixes = [((), tuple(range(len(names))))]
+    prefixes = [((), "".join(map(chr, range(len(names)))))]
     for level in upper:
-        steps: dict[tuple[int, ...], list] = {}
+        steps: dict[str, list[str]] = {}
         grown = []
-        for edges, label in prefixes:
+        for keys, label in prefixes:
             after = steps.get(label)
             if after is None:
                 after = steps[label] = [_join(label, links) for _, links in level]
-            grown.extend((edges + triples, joined) for (triples, _), joined in zip(level, after))
+            grown += [(tuple(sorted(keys + more)), j) for (more, _), j in zip(level, after)]
         prefixes = grown
-    # last level: the labelling above it -> the components after each choice
-    steps = {}
-    graphs = []
-    for edges, label in prefixes:
+    # all graphs have equally many edges; itemgetter makes a tuple of two or more
+    pick = itemgetter if len(prefixes[0][0] + bottom[0][0]) > 1 else (
+        lambda *keys: lambda seq: tuple(seq[k] for k in keys))
+    steps, parts, graphs = {}, {}, []
+    for keys, label in prefixes:
         row = steps.get(label)
         if row is None:
             row = steps[label] = []
             for _, links in bottom:
-                groups: dict[int, list[str]] = {}
-                for r, least in enumerate(_join(label, links)):
-                    groups.setdefault(least, []).append(names[r])
-                # groups appear in order of their least rank, i.e. sorted
-                row.append(tuple(map(tuple, groups.values())))
-        for (triples, _), comps in zip(bottom, row):
-            graphs.append(Multigraph(vertices, tuple(sorted(edges + triples)), comps))
+                joined = _join(label, links)
+                comps = parts.get(joined)
+                if comps is None:
+                    groups: dict[str, list[str]] = {}
+                    for name, least in zip(names, joined):
+                        groups.setdefault(least, []).append(name)
+                    # groups appear in order of their least rank, i.e. sorted
+                    comps = parts[joined] = tuple(map(tuple, groups.values()))
+                row.append(comps)
+        for (more, _), comps in zip(bottom, row):
+            graphs.append(Multigraph(vertices, pick(*sorted(keys + more))(triples), comps))
     return graphs
 
 
-def _join(label: tuple[int, ...], links) -> tuple[int, ...]:
+def _join(label: str, links) -> str:
     """The component labelling after adding edges between the rank pairs
-    in `links`: one union-find pass whose roots are least ranks, so every
-    rank's parent is no greater than it, and an ascending sweep then points
-    each rank at its root."""
-    least = list(label)
+    in `links`: each link between two components relabels the one with
+    the larger least rank by the smaller."""
     for a, b in links:
-        while least[a] != a:
-            least[a] = least[least[a]]
-            a = least[a]
-        while least[b] != b:
-            least[b] = least[least[b]]
-            b = least[b]
-        if a < b:
-            least[b] = a
-        elif b < a:
-            least[a] = b
-    for r in range(len(least)):
-        least[r] = least[least[r]]
-    return tuple(least)
+        x, y = label[a], label[b]
+        if x < y:
+            label = label.replace(y, x)
+        elif y < x:
+            label = label.replace(x, y)
+    return label
 
 
 def raw_pairing_count(data: FixedPointData) -> int:
@@ -383,7 +383,7 @@ def connectivity_verdict(graphs: list[Multigraph]) -> ConnectivityVerdict:
     if not graphs:
         raise BadArgument("connectivity_verdict needs at least one graph")
     try:    # the type gate costs nothing on a list of graphs
-        flags = {g.is_connected for g in graphs}
+        flags = set(map(attrgetter("is_connected"), graphs))
     except (AttributeError, TypeError):
         raise BadArgument("connectivity_verdict needs a list of Multigraph values") from None
     if flags == {True}:

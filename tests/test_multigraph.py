@@ -337,6 +337,10 @@ def _differential_inputs():
             data = kustarev_sum(data, None, standard_sphere(rng.randint(1, 3), rng.randint(1, 3)),
                                 None).data
         yield data
+    # string labellings past one byte per vertex: a 300-point cycle of
+    # forced magnitudes folds into one component
+    yield dataset(2, [(f"c{i}", (i + 1, -((i + 1) % 300 + 1))) for i in range(300)])
+    yield dataset(1, [("a", (1,)), ("b", (-1,))])     # a single edge
 
 
 def test_graph_lists_match_the_occurrence_enumerator(monkeypatch):
@@ -440,10 +444,21 @@ def test_make_graph_canonicalizes_edges_and_agrees_with_networkx():
 @pytest.mark.parametrize("vertices, edges", [
     (["a", "a"], []), (["a", "b", "a"], [("a", "b", 1)]), (["a"], [("a", "b", 1)]),
     ([], [("a", "a", 2)]), (["a"], [("a", "a", "x")]), (["a"], [("a", "a", 1.0)]),
-    (["a"], [("a", "a", True)]), (["a"], [("a", "a", 0)])])
+    (["a"], [("a", "a", True)]), (["a"], [("a", "a", 0)]), ([1, "a"], []),
+    ([1, 2], [(1, 2, 1)]), ([""], [])])
 def test_make_graph_refuses_repeated_vertices_and_foreign_endpoints(vertices, edges):
     with pytest.raises(BadArgument):
         make_graph(vertices, edges)
+
+
+def test_graphs_refuse_more_vertices_than_labelling_characters(monkeypatch):
+    # a component labelling spends one character per vertex
+    assert make_graph(["a", "b"], [("a", "b", 1)]).is_connected
+    monkeypatch.setattr(multigraph.sys, "maxunicode", 0)
+    with pytest.raises(BadArgument, match="at most 1 vertices"):
+        make_graph(["a", "b"], [("a", "b", 1)])
+    with pytest.raises(BadArgument, match="at most 1 vertices"):
+        build_multigraphs(sphere_data(1, 2))
 
 
 # ---- counting tables before enumerating them ------------------------------
