@@ -131,12 +131,15 @@ def param_names(tag: CaseTag | str) -> tuple[str, ...]:
 def gen_family(case: JangCase) -> FixedPointData:
     """The 4-point dataset of a family member, points named p1..p4.
 
-    Raises BadParams when the parameters violate the case's constraints
-    (wrong arity, non-positive entries where positivity is required, or a
-    repeated value in case A).
+    Raises BadParams when the tag is not a CaseTag, the parameters are not
+    a tuple, or they violate the case's constraints (wrong arity,
+    non-positive entries where positivity is required, or a repeated value
+    in case A).
     """
     if not isinstance(case, JangCase):
         raise BadArgument(f"expected a JangCase, got {case!r}")
+    if not isinstance(case.tag, CaseTag) or not isinstance(case.params, tuple):
+        raise BadParams(f"expected a CaseTag and a tuple of parameters, got {case!r}")
     names, fn, positive = _FAMILIES[case.tag]
     if len(case.params) != len(names):
         raise BadParams(f"case {case.tag.value} takes parameters {names}, "
@@ -347,44 +350,36 @@ def _classify(data: FixedPointData) -> ClassificationResult:
     if len(data.points) != 4:
         raise WrongPointCount(f"classification needs exactly 4 fixed points, "
                               f"got {len(data.points)}")
-    names = data.names()
     rows = data.weight_rows()
     # for n = 3, c_1^3 does not change when every weight is negated, so one
     # value keys both passes (no member has a non-integral one); reversal
     # swaps the all-positive and all-negative points, so N_3 is its Todd genus
     c1, counts = _integer_pass(rows, 3)
     # keyed by case position, so sorting the keys gives CaseTag order
-    found: dict[tuple[int, tuple[int, ...], bool], tuple[CaseTag, tuple[str, ...]]] = {}
+    found: dict[tuple[int, tuple[int, ...], bool], CaseMatch] = {}
     for rev in (False, True):
-        pts = rows if not rev else tuple(tuple(-w for w in ws) for ws in rows)
         n0 = counts[3 if rev else 0]
         cases = [(pos, plan) for pos, plan in enumerate(_PLANS.values())
                  if plan.n0 == n0 and (plan.c1 is None or plan.c1 == c1)]
         if not cases:
             continue
+        pts = tuple(tuple(-w for w in ws) for ws in rows) if rev else rows
         orders = _orders_by_sign(pts)
         multisets = [tuple(sorted(ws)) for ws in pts]
         target = sorted(multisets)
-        names_by_multiset: dict[tuple[int, ...], list[str]] = {}
-        for name, m in sorted(zip(names, multisets)):
-            names_by_multiset.setdefault(m, []).append(name)
+        # the pool: each weight multiset's point names, sorted
+        pool: dict[tuple[int, ...], list[str]] = {}
+        for name, m in sorted(zip(data.names(), multisets)):
+            pool.setdefault(m, []).append(name)
         for pos, plan in cases:
             # no _admissible check: pin keys force read signs; equal A params regenerate a 0 weight
             for params in _candidates(plan, orders):
                 generated = [tuple(sorted(ws)) for ws in plan.fn(*params)]
-                if sorted(generated) != target:
-                    continue
-                # canonical assignment: all assignments for fixed params
-                # differ only by permuting identical points, so handing out
-                # each group's sorted names in slot order gives the
-                # lexicographically smallest one
-                handed: dict[tuple[int, ...], int] = {}
-                slot_names = []
-                for m in generated:
-                    slot_names.append(names_by_multiset[m][handed.get(m, 0)])
-                    handed[m] = handed.get(m, 0) + 1
-                found[(pos, params, rev)] = plan.tag, tuple(slot_names)
-    return ClassificationResult(tuple(
-        CaseMatch(JangCase(tag, params), slots, rev)
-        for (_, params, rev), (tag, slots) in sorted(found.items())))
-
+                if sorted(generated) == target:
+                    # all assignments for fixed params differ only by permuting
+                    # identical points, so handing out each multiset's names
+                    # in slot order gives the lexicographically smallest one
+                    hand = {m: iter(group) for m, group in pool.items()}
+                    found[pos, params, rev] = CaseMatch(
+                        JangCase(plan.tag, params), tuple([next(hand[m]) for m in generated]), rev)
+    return ClassificationResult(tuple(found[k] for k in sorted(found)))

@@ -30,6 +30,7 @@ import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from numbers import Rational
+from os import PathLike
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
@@ -290,16 +291,26 @@ def _write_text(path: str | Path, text: str) -> None:
         raise BadArgument(f"cannot write {path}: {exc}") from exc
 
 
-def save(data: FixedPointData, target: str | Path | IO[str]) -> None:
+def _require_path(path):
+    """The path itself when it is a `str` or `os.PathLike`, else BadArgument
+    (an int would name a file descriptor to `open`)."""
+    if not isinstance(path, (str, PathLike)):
+        raise BadArgument(f"expected a path or a stream, got {path!r}")
+    return path
+
+
+def save(data: FixedPointData, target: str | PathLike | IO[str]) -> None:
     """Write the dataset document as UTF-8 JSON (deterministic key order).
 
-    Raises BadArgument when a target path cannot be written.
+    The target is a path (`str` or `os.PathLike`) or a stream with a
+    `write` method. Raises BadArgument for any other target, before
+    anything is opened, and when a target path cannot be written.
     """
     text = json.dumps(document(data), sort_keys=True, indent=2) + "\n"
     if hasattr(target, "write"):
         target.write(text)
     else:
-        _write_text(target, text)
+        _write_text(_require_path(target), text)
 
 
 _TOP_KEYS = {"n", "fixed_points", "homology", "labels"}
@@ -347,18 +358,21 @@ def _parse_document(doc) -> FixedPointData:
     return dataset(doc["n"], points, homology=homology, labels=labels)
 
 
-def load(source: str | Path | IO[str]) -> FixedPointData:
+def load(source: str | PathLike | IO[str]) -> FixedPointData:
     """Read and fully check a dataset document.
 
-    Raises ParseError for an unreadable or non-UTF-8 file, malformed JSON
-    or schema violations, and ValidationError (carrying the violation list)
-    when the document is schema-valid but breaks a dataset invariant.
+    The source is a path (`str` or `os.PathLike`) or a stream with a
+    `read` method. Raises BadArgument for any other source, before
+    anything is opened; ParseError for an unreadable or non-UTF-8 file,
+    malformed JSON or schema violations; and ValidationError (carrying the
+    violation list) when the document is schema-valid but breaks a dataset
+    invariant.
     """
     try:
         if hasattr(source, "read"):
             doc = json.load(source)
         else:
-            with open(source, encoding="utf-8") as fh:
+            with open(_require_path(source), encoding="utf-8") as fh:
                 doc = json.load(fh)
     except (json.JSONDecodeError, RecursionError) as exc:   # too deeply nested
         raise ParseError(f"malformed JSON: {exc}") from exc

@@ -77,7 +77,10 @@ class Multigraph(NamedTuple):
 
     def to_dot(self, name: str = "pairing") -> str:
         """Graphviz source; vertex and edge order is reproducible. The graph
-        name is written bare when it is a plain DOT ID, else quoted."""
+        name is written bare when it is a plain DOT ID, else quoted; a name
+        that is not a str is a BadArgument."""
+        if not isinstance(name, str):
+            raise BadArgument(f"a DOT graph name must be a str, got {name!r}")
         plain = _PLAIN_DOT_ID.fullmatch(name) and name.lower() not in _DOT_KEYWORDS
         lines = [f"graph {name if plain else _dot_id(name)} {{"]
         for v in sorted(self.vertices):
@@ -383,7 +386,7 @@ def connectivity_verdict(graphs: list[Multigraph]) -> ConnectivityVerdict:
     if not graphs:
         raise BadArgument("connectivity_verdict needs at least one graph")
     try:    # the type gate costs nothing on a list of graphs
-        flags = set(map(attrgetter("is_connected"), graphs))
+        flags = {n <= 1 for n in set(map(len, map(attrgetter("components"), graphs)))}
     except (AttributeError, TypeError):
         raise BadArgument("connectivity_verdict needs a list of Multigraph values") from None
     if flags == {True}:

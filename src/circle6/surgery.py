@@ -179,12 +179,12 @@ def standard_sphere(a: int, b: int) -> FixedPointData:
 
 
 def is_sphere_summand(data: FixedPointData, profile: HomologyProfile) -> bool:
-    """Whether (data, profile) is a standard sphere action: two fixed points
-    with opposite zero-sum weight multisets and sphere homology."""
+    """Whether (data, profile) is a standard sphere action: n = 3, two fixed
+    points with opposite zero-sum weight multisets and sphere homology."""
     _require_integer_weights(data)
     if profile is None or profile != SPHERE_PROFILE:
         return False
-    if len(data.points) != 2:
+    if data.n != 3 or len(data.points) != 2:
         return False
     w1, w2 = data.points[0].weights, data.points[1].weights
     return sum(w1) == 0 and sorted(w2) == sorted(-w for w in w1)
@@ -308,8 +308,9 @@ def recognize_diffeotype(data: FixedPointData, profile: HomologyProfile) -> str 
     """Name the diffeomorphism type when one of the recognition rules applies.
 
     The data is validated first, and `equivariantly_formal(profile,
-    integral=True)` checks the profile, before any rule runs. Then two
-    rules, in this order; anything else returns None rather than guessing:
+    integral=True)` checks the profile, before any rule runs. Both rules
+    name 6-manifolds, so data with n != 3 returns None. Then two rules, in
+    this order; anything else returns None rather than guessing:
 
     * data that `kustarev_sum` labelled as the sum of two standard 6-spheres
       is S^4 x S^2;
@@ -324,6 +325,10 @@ def recognize_diffeotype(data: FixedPointData, profile: HomologyProfile) -> str 
 def _diffeotype(data: FixedPointData, profile: HomologyProfile) -> str | None:
     """The recognition rules of `recognize_diffeotype`, on valid data."""
     formal = equivariantly_formal(profile, integral=True)
+    # both rules name 6-manifolds; the n check comes after the formality
+    # check, so profile errors keep their precedence
+    if data.n != 3:
+        return None
     # the two rules are mutually exclusive (case-F rows have nonzero weight
     # sums, sphere-sum rows sum to zero), so the cheap provenance check goes
     # first and spares sum data a classification pass

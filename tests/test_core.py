@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import io
 import json
+import os
 import random
 from fractions import Fraction
 from itertools import product
@@ -14,7 +15,9 @@ import pytest
 import circle6
 from circle6 import (
     BadArgument,
+    CaseTag,
     HomologyProfile,
+    JangCase,
     ParseError,
     SPHERE_PROFILE,
     ValidationError,
@@ -149,7 +152,8 @@ def test_a_dataset_with_a_non_integer_weight_is_a_bad_argument(op, weight):
 # The junk pool of the API contract below; extend it rather than adding a
 # test per leak.
 _POOL = [None, "x", 1.5, True, -1, 0, [], (1,), standard_sphere(1, 2),
-         gen_family(jang_case("F", 1, 1))]
+         gen_family(jang_case("F", 1, 1)), JangCase("A", (1, 2, 3)),
+         JangCase(CaseTag.A_CP3, None)]
 
 
 def test_every_public_function_returns_or_raises_a_toolkit_error():
@@ -289,6 +293,29 @@ def test_save_to_an_unwritable_path_is_a_bad_argument(tmp_path, target):
     (tmp_path / "directory").mkdir()
     with pytest.raises(BadArgument, match="cannot write"):
         save(sphere_data(), tmp_path / target)
+
+
+def test_load_of_a_file_descriptor_is_a_bad_argument_and_leaves_it_open():
+    r, w = os.pipe()
+    os.close(w)     # a read of r ends at once instead of blocking
+    try:
+        with pytest.raises(BadArgument, match="path or a stream"):
+            load(r)
+        os.fstat(r)     # still open
+    finally:
+        os.close(r)
+
+
+@pytest.mark.parametrize("junk", [None, 1.5], ids=repr)
+def test_load_refuses_a_source_that_is_neither_path_nor_stream(junk):
+    with pytest.raises(BadArgument, match="path or a stream"):
+        load(junk)
+
+
+@pytest.mark.parametrize("junk", [5, None, 1.5, True], ids=repr)
+def test_save_refuses_a_target_that_is_neither_path_nor_stream(junk):
+    with pytest.raises(BadArgument, match="path or a stream"):
+        save(sphere_data(), junk)
 
 
 def test_document_omits_empty_optionals():

@@ -707,3 +707,9 @@ def test_dot_graph_name_is_quoted_unless_a_plain_id():
         'say "hi"': 'graph "say \\"hi\\"" {',
         "Graph": 'graph "Graph" {',     # a DOT keyword in any case
     }
+
+
+@pytest.mark.parametrize("name", [5, None, b"g0"], ids=repr)
+def test_dot_graph_name_that_is_not_a_str_is_a_bad_argument(name):
+    with pytest.raises(BadArgument, match="str"):
+        build_multigraphs(sphere_data(1, 2))[0].to_dot(name=name)

@@ -34,6 +34,7 @@ from circle6 import (
     jang_case,
     kustarev_admissible,
     kustarev_sum,
+    negate_all,
     psi_flip,
     recognize_diffeotype,
     rotation_loop_class,
@@ -238,6 +239,37 @@ def test_is_sphere_summand():
     assert not is_sphere_summand(standard_sphere(1, 1), None)
     three = dataset(3, [("x", (1, 2, -3)), ("y", (-1, -2, 3)), ("z", (1, 1, -2))])
     assert not is_sphere_summand(three, SPHERE_PROFILE)
+
+
+def test_a_two_point_n2_action_is_not_a_sphere_summand():
+    assert not is_sphere_summand(dataset(2, [("x", (1, -1)), ("y", (-1, 1))]), SPHERE_PROFILE)
+
+
+# valid two-point summands with n = 7, where 2n - 1 = 13 = 5 mod 8 admits the
+# sum; the diffeotype rules name 6-manifolds only
+
+def test_a_sum_of_generic_n7_summands_is_not_recognized():
+    generic = dataset(7, [("p", (1, 2, 3, -6, 1, 2, -4)), ("q", (-1, -2, -3, 6, -1, -2, 4))],
+                      homology=SPHERE_PROFILE)
+    ks = kustarev_sum(generic, None, generic, None)
+    assert ks.report.summands == ("generic", "generic")
+    assert ks.report.diffeotype is None
+
+
+def test_a_sum_of_zero_sum_n7_summands_is_not_s4_x_s2():
+    zero_sum = dataset(7, [("p", (1, 2, 3, -6, 1, 2, -3)), ("q", (-1, -2, -3, 6, -1, -2, 3))],
+                       homology=SPHERE_PROFILE)
+    ks = kustarev_sum(zero_sum, None, negate_all(zero_sum), None)
+    assert ks.report.summands == ("generic", "generic")
+    assert ks.report.diffeotype is None
+    assert recognize_diffeotype(ks.data, ks.homology) is None
+
+
+def test_recognition_of_four_point_n2_data_is_none():
+    d = dataset(2, [("a", (1, -1)), ("b", (-1, 1)), ("c", (2, -2)), ("d", (-2, 2))])
+    assert recognize_diffeotype(d, HomologyProfile(True, 1, 0, True)) is None
+    with pytest.raises(MissingProfile):     # profile errors come first
+        recognize_diffeotype(d, None)
 
 
 def test_iterated_sums_keep_names_unique():
