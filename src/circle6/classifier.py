@@ -24,7 +24,12 @@ members agree on it (64, 54, 0, -8, -2 for cases A, B, D, E, F; case C's
 72 - 2a^2 varies, so C is not keyed). `classify` runs the localization
 layer's integer pass once: its c_1^3 keys both orientations, since for
 n = 3 it does not change under reversal, and its N_0 and N_3 are the Todd
-genus of the data and of its reversal.
+genus of the data and of its reversal. It searches once per distinct
+target, the sorted weight multisets of an orientation. When the reversed
+data has the data's own multisets (every member of cases B, C, D and F,
+every sum of two spheres) N_0 = N_3, so both orientations admit the same
+cases, and the hits depend on the target alone; the reversed orientation
+reuses them and only hands out point names from its own pool.
 
 For each case tried the matcher takes only the (point, weight order)
 choices for the pinning slots that the forced signs allow, and reads the
@@ -357,6 +362,11 @@ def _classify(data: FixedPointData) -> ClassificationResult:
     c1, counts = _integer_pass(rows, 3)
     # keyed by case position, so sorting the keys gives CaseTag order
     found: dict[tuple[int, tuple[int, ...], bool], CaseMatch] = {}
+    # the hits of each distinct target (the sorted weight multisets): a
+    # reversal with the data's own multisets admits the same cases, as
+    # N_0 = N_3, and since _candidates never drops a true match it has the
+    # same hits, so it is not searched again
+    hits: dict[tuple, list[tuple[int, JangCase, list]]] = {}
     for rev in (False, True):
         n0 = counts[3 if rev else 0]
         cases = [(pos, plan) for pos, plan in enumerate(_PLANS.values())
@@ -364,22 +374,27 @@ def _classify(data: FixedPointData) -> ClassificationResult:
         if not cases:
             continue
         pts = tuple(tuple(-w for w in ws) for ws in rows) if rev else rows
-        orders = _orders_by_sign(pts)
         multisets = [tuple(sorted(ws)) for ws in pts]
         target = sorted(multisets)
+        key = tuple(target)
+        if key not in hits:
+            searched = hits[key] = []
+            orders = _orders_by_sign(pts)
+            for pos, plan in cases:
+                # no _admissible check: pin keys force read signs; equal A params regenerate a 0 weight
+                for params in _candidates(plan, orders):
+                    generated = [tuple(sorted(ws)) for ws in plan.fn(*params)]
+                    if sorted(generated) == target:
+                        searched.append((pos, JangCase(plan.tag, params), generated))
         # the pool: each weight multiset's point names, sorted
         pool: dict[tuple[int, ...], list[str]] = {}
         for name, m in sorted(zip(data.names(), multisets)):
             pool.setdefault(m, []).append(name)
-        for pos, plan in cases:
-            # no _admissible check: pin keys force read signs; equal A params regenerate a 0 weight
-            for params in _candidates(plan, orders):
-                generated = [tuple(sorted(ws)) for ws in plan.fn(*params)]
-                if sorted(generated) == target:
-                    # all assignments for fixed params differ only by permuting
-                    # identical points, so handing out each multiset's names
-                    # in slot order gives the lexicographically smallest one
-                    hand = {m: iter(group) for m, group in pool.items()}
-                    found[pos, params, rev] = CaseMatch(
-                        JangCase(plan.tag, params), tuple([next(hand[m]) for m in generated]), rev)
+        for pos, case, generated in hits[key]:
+            # all assignments for fixed params differ only by permuting
+            # identical points, so handing out each multiset's names in
+            # slot order gives the lexicographically smallest one
+            hand = {m: iter(group) for m, group in pool.items()}
+            found[pos, case.params, rev] = CaseMatch(
+                case, tuple([next(hand[m]) for m in generated]), rev)
     return ClassificationResult(tuple(found[k] for k in sorted(found)))

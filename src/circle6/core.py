@@ -27,12 +27,13 @@ denominator), rendered as "p/q" strings in JSON output.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from numbers import Rational
 from os import PathLike
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO
 
 from .errors import BadArgument, InvalidData, ParseError, ValidationError
 
@@ -160,9 +161,24 @@ def _is_int(x) -> bool:
 
 def _require_dataset(data) -> None:
     """Raise BadArgument unless `data` is a dataset at all: the one type
-    gate of every public function taking a dataset argument."""
+    gate of every public function taking a dataset argument.
+
+    It checks the shape of the fields, not their values: `points` is a
+    tuple of FixedPoint, each with a tuple of weights, `homology` is None
+    or a HomologyProfile, and `labels` is a mapping. Names, weights, n and
+    the Betti numbers are left to :func:`validate`, which reports them as
+    violations."""
     if not isinstance(data, FixedPointData):
         raise BadArgument(f"expected a FixedPointData dataset, got {type(data).__name__}")
+    if not isinstance(data.points, tuple):
+        raise BadArgument(f"points must be a tuple, got {type(data.points).__name__}")
+    for p in data.points:
+        if not isinstance(p, FixedPoint) or not isinstance(p.weights, tuple):
+            raise BadArgument(f"points must be FixedPoint values with tuple weights, got {p!r}")
+    if data.homology is not None and not isinstance(data.homology, HomologyProfile):
+        raise BadArgument(f"homology must be None or a HomologyProfile, got {data.homology!r}")
+    if not isinstance(data.labels, Mapping):
+        raise BadArgument(f"labels must be a mapping, got {data.labels!r}")
 
 
 def _require_integer_weights(data) -> None:
@@ -179,7 +195,8 @@ def validate(data: FixedPointData) -> list[Violation]:
     """Check every dataset invariant; return all violations (empty = valid).
 
     Violations are data, not failures: the only error the function raises
-    is BadArgument, when `data` is not a FixedPointData at all. The same
+    is BadArgument, when `data` is not a FixedPointData at all or its
+    fields have the wrong shape (see `_require_dataset`). The same
     rules apply regardless of point order, so permuting points only
     permutes the report.
     """

@@ -25,12 +25,15 @@ from circle6 import (
     dataset,
     gen_family,
     jang_case,
+    kustarev_sum,
     negate_all,
     param_names,
     recognize_diffeotype,
+    standard_sphere,
     todd_genus,
     validate,
 )
+from conftest import random_symmetric_dataset
 
 ALL_TAGS = list(CaseTag)
 
@@ -428,6 +431,59 @@ def test_case_d_candidates_are_exactly_the_matches_on_sphere_sums():
             assert _candidates(plan, _orders_by_sign(pts)) == {
                 m.case.params for m in matches
                 if m.case.tag is CaseTag.D_S6_union and m.reversed is rev}, (rows, rev)
+
+
+def _self_reverse_inputs():
+    """4-point data whose reversal has the same weight multisets: random
+    points followed by their negatives, mostly not family members."""
+    rng = random.Random(31)
+    inputs = []
+    while len(inputs) < 500:
+        data = random_symmetric_dataset(rng, max_points=2)
+        if len(data.points) == 4:
+            inputs.append(data)
+    return inputs
+
+
+def test_classify_agrees_with_the_table_on_self_reverse_data():
+    for data in _self_reverse_inputs():
+        _check_against_reference(data)
+
+
+def _member(letter, *params):
+    return gen_family(jang_case(letter, *params))
+
+
+@pytest.mark.parametrize("data, searches", [
+    pytest.param(_member("B", 1, 2), 1, id="B(1,2)"),
+    pytest.param(_member("C", 2), 1, id="C(2)"),
+    pytest.param(_member("D", 1, 2, 3, 4), 1, id="D(1,2,3,4)"),
+    pytest.param(_member("F", 1, 2), 1, id="F(1,2)"),
+    pytest.param(_member("A", 1, 2, 3), 1, id="A(1,2,3)"),
+    pytest.param(negate_all(_member("B", 1, 2)), 1, id="reversed B(1,2)"),
+    pytest.param(kustarev_sum(standard_sphere(1, 2), None, standard_sphere(2, 3), None).data, 1,
+                 id="sum of two spheres"),
+    pytest.param(_member("A", 1, 2, 4), 2, id="A(1,2,4)"),
+    pytest.param(_member("E", 1, 1), 2, id="E(1,1)"),
+])
+def test_a_reversal_with_the_same_weight_multisets_is_searched_once(monkeypatch, data, searches):
+    # one orders table per search: the reversed orientation reuses the
+    # forward hits when its weight multisets are the data's own
+    from circle6 import classifier
+    calls = []
+    original = classifier._orders_by_sign
+
+    def counting(pts):
+        calls.append(pts)
+        return original(pts)
+
+    monkeypatch.setattr(classifier, "_orders_by_sign", counting)
+    matches = classify(data).matches
+    assert len(calls) == searches
+    if searches == 1:
+        # every match is found in both orientations
+        assert {(m.case, m.reversed) for m in matches} == {
+            (m.case, rev) for m in matches for rev in (False, True)}
 
 
 _NONZERO = st.integers(-5, 5).filter(bool)

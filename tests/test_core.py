@@ -16,6 +16,8 @@ import circle6
 from circle6 import (
     BadArgument,
     CaseTag,
+    FixedPoint,
+    FixedPointData,
     HomologyProfile,
     JangCase,
     ParseError,
@@ -153,7 +155,11 @@ def test_a_dataset_with_a_non_integer_weight_is_a_bad_argument(op, weight):
 # test per leak.
 _POOL = [None, "x", 1.5, True, -1, 0, [], (1,), standard_sphere(1, 2),
          gen_family(jang_case("F", 1, 1)), JangCase("A", (1, 2, 3)),
-         JangCase(CaseTag.A_CP3, None)]
+         JangCase(CaseTag.A_CP3, None),
+         # datasets whose fields have the wrong shape
+         FixedPointData(3, (FixedPoint("a", 7),)), FixedPointData(3, ((1, 2),)),
+         FixedPointData(3, standard_sphere(1, 2).points, homology="x"),
+         FixedPointData(3, standard_sphere(1, 2).points, labels=None)]
 
 
 def test_every_public_function_returns_or_raises_a_toolkit_error():

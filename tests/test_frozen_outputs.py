@@ -18,10 +18,14 @@ import random
 from circle6 import (
     ToolkitError,
     build_multigraphs,
+    c1_cubed,
+    chern_report,
+    chi_y_profile,
     classify,
     connectivity_verdict,
     dataset,
     exoticness_obstruction,
+    format_rational,
     gen_family,
     jang_case,
     kustarev_sum,
@@ -107,6 +111,44 @@ def test_classify_outputs_are_frozen():
             "10ac680007d5", "3b890ea4a1f2", "b1472ddc8875", "0e28b2ef40df"]
            + ["563d1d9ede47"] * 12     # random data that no family fits
            + ["9292e2aca1e7", "1df69303c616", "d3b59393268f", "7d601831fea2"])
+
+
+# ---- localization -----------------------------------------------------------
+
+def _localization_corpus() -> list[list]:
+    """[n, weight rows] pairs: random 2-, 3-, 4- and 6-point data with
+    weights in +-1..6 (n = 3, and n = 2 for a few), then members of all six
+    cases and their reversals."""
+    rng = random.Random(2023)
+    nonzero = [w for w in range(-6, 7) if w]
+    corpus = []
+    for i in range(1500):
+        n = 2 if i % 15 == 0 else 3
+        points = (2, 3, 4, 6)[i % 4]
+        corpus.append([n, [[f"p{j}", rng.choices(nonzero, k=n)] for j in range(points)]])
+    for _ in range(50):
+        for letter in "ABCDEF":
+            rows = gen_family(jang_case(letter, *_params(rng, letter))).weight_rows()
+            for sign in (1, -1):
+                corpus.append([3, [[f"p{j}", [sign * w for w in ws]] for j, ws in enumerate(rows)]])
+    return corpus
+
+
+def _localization_outcome(item):
+    data = dataset(*item)
+    return [_outcome(lambda d: format_rational(c1_cubed(d)), data),
+            _outcome(chi_y_profile, data),
+            _outcome(lambda d: chern_report(d).as_json_dict(), data)]
+
+
+def test_localization_outputs_are_frozen():
+    _check("localization", _localization_corpus(), _localization_outcome,
+           "6e04ed8a04c2777101289f6b8f64953a5db01c820e4de3312231d463e4f6b198",
+           ["c099c4ee5bc0", "f7914f62d886", "759c4ebab04b", "0d912fe0aeba", "fee58a0ca964",
+            "95ce541015df", "b1dffe94bf6e", "614fdca885ba", "7e639369981a", "2368c5524fe0",
+            "61055c34fed6", "a82826132bb1", "de631e526139", "00186db28bfb", "1ee8859bc9db",
+            "6a40c52f40c1", "4b5fd62372ca", "de8cb8297f1e", "6570c2fb8865", "97864472ce0a",
+            "7ea14f8bec12"])
 
 
 # ---- pairing graphs ---------------------------------------------------------
