@@ -12,10 +12,13 @@ differs and lists its inputs with their outputs now.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import random
+from pathlib import Path
 
 from circle6 import (
+    SPHERE_PROFILE,
     ToolkitError,
     build_multigraphs,
     c1_cubed,
@@ -24,14 +27,17 @@ from circle6 import (
     classify,
     connectivity_verdict,
     dataset,
+    disjoint_union,
     exoticness_obstruction,
     format_rational,
     gen_family,
     jang_case,
     kustarev_sum,
     param_names,
+    save,
     standard_sphere,
 )
+from circle6.cli import run
 
 CHUNK = 100
 
@@ -168,6 +174,10 @@ def _sum_outcome(spheres):
     data = standard_sphere(*spheres[0])
     for a, b in spheres[1:]:
         data = kustarev_sum(data, None, standard_sphere(a, b), None).data
+    return _graphs_outcome(data)
+
+
+def _graphs_outcome(data):
     graphs = build_multigraphs(data)
     return [graphs, connectivity_verdict(graphs).value, exoticness_obstruction(graphs)]
 
@@ -175,3 +185,173 @@ def _sum_outcome(spheres):
 def test_pairing_graph_outputs_are_frozen():
     _check("pairing graphs", _sum_corpus(), _sum_outcome,
            "dc505b031b416b97f38d63d67dee64f05b4cee0819460d28caa7719e3623dea5", ["addfc70bec57"])
+
+
+def _graph_corpus() -> list[list]:
+    """Inputs the sum corpus lacks: ten seeded sums of 5 spheres, chains of
+    6, 7 and 20 copies of the (1, 1) sphere, and the overlap input, whose
+    points all carry both +1 and -1, as ["spheres", weights] or
+    ["points", rows]."""
+    spheres = [(a, b) for a in range(1, 4) for b in range(1, 4)]
+    rng = random.Random(2019)
+    corpus = [["spheres", rng.choices(spheres, k=5)] for _ in range(10)]
+    corpus += [["spheres", [(1, 1)] * k] for k in (6, 7, 20)]
+    corpus.append(["points", [[f"a{i}", [1, -1, 2]] for i in range(50)]
+                   + [[f"b{i}", [1, -1, -2]] for i in range(50)]])
+    return corpus
+
+
+def _graph_outcome(item):
+    kind, value = item
+    return _sum_outcome(value) if kind == "spheres" else _graphs_outcome(dataset(3, value))
+
+
+def test_large_and_refused_pairing_graph_outputs_are_frozen():
+    _check("large pairing graphs", _graph_corpus(), _graph_outcome,
+           "f6e9d2d28c13920f5de0e70a07722380e9ead533da5a5c45920ee5137b550162", ["606bebc27a9c"])
+
+
+# ---- CLI --------------------------------------------------------------------
+
+def _cli_files() -> dict[str, bytes]:
+    """Input files by name: valid spheres, an n = 2 dataset, a union without
+    a profile, data that validation refuses, and files that do not parse."""
+    def text(data):
+        out = io.StringIO()
+        save(data, out)
+        return out.getvalue().encode()
+
+    sphere = standard_sphere(1, 2)
+    return {
+        "s12.json": text(sphere),
+        "s13.json": text(standard_sphere(1, 3)),
+        "n2.json": text(dataset(2, [("p1", (1, 2)), ("p2", (-1, -2))], SPHERE_PROFILE)),
+        "union.json": text(disjoint_union(sphere, standard_sphere(2, 3))),
+        "nonintegral.json": text(dataset(3, [("p", (1, 2, 4))])),
+        "zero.json": text(dataset(3, [("p1", (0, 1, -1)), ("p2", (0, -1, 1))], SPHERE_PROFILE)),
+        "dup.json": text(dataset(3, [("p", (1, 2, -3)), ("p", (-1, -2, 3))])),
+        "euler.json": text(dataset(3, [(p.name, p.weights) for p in
+                                       gen_family(jang_case("F", 1, 1)).points], SPHERE_PROFILE)),
+        "malformed.json": b'{"n": 3, "fixed_points": [{"name"',
+        "schema.json": b'{"n": 3, "fixed_points": [], "extra": 1}',
+        "latin1.json": b"\xff\xfe",
+    }
+
+
+# Every subcommand but verify-gluing, whose float depends on the platform.
+# "{d}" stands for the directory of the input files; missing.json is never
+# written. Later lines read what earlier ones write with --out.
+_CLI_CORPUS = [
+    "generate A 1 2 3",
+    "generate A 1 2 3 --out {d}/A.json",
+    "generate B 1 2 --out {d}/B.json",
+    "generate C 2 --out {d}/C.json",
+    "generate D 1 2 3 4 --out {d}/D.json",
+    "generate E 1 2 --out {d}/E.json",
+    "generate F 1 1 --out {d}/F.json",
+    "generate C 0",
+    "generate A 1 1 1",
+    "generate D 1 2 3 4 --quiet",
+    "validate {d}/s12.json",
+    "validate {d}/F.json",
+    "validate {d}/union.json",
+    "validate {d}/zero.json",
+    "validate {d}/dup.json",
+    "validate {d}/euler.json",
+    "validate {d}/zero.json --out {d}/v.json",
+    "validate {d}/malformed.json",
+    "validate {d}/schema.json",
+    "validate {d}/latin1.json",
+    "validate {d}/missing.json",
+    "localize {d}/s12.json",
+    "localize {d}/s12.json --quiet",
+    "localize {d}/s12.json --out {d}/loc.json",
+    "localize {d}/A.json",
+    "localize {d}/B.json",
+    "localize {d}/C.json",
+    "localize {d}/D.json",
+    "localize {d}/E.json",
+    "localize {d}/F.json",
+    "localize {d}/union.json",
+    "localize {d}/n2.json",
+    "localize {d}/nonintegral.json",
+    "localize --raw {d}/nonintegral.json",
+    "localize --raw {d}/s12.json",
+    "localize {d}/zero.json",
+    "localize --raw {d}/zero.json",
+    "localize {d}/dup.json",
+    "localize {d}/malformed.json",
+    "localize {d}/schema.json",
+    "localize {d}/latin1.json",
+    "localize {d}/missing.json",
+    "classify {d}/A.json",
+    "classify {d}/B.json",
+    "classify {d}/C.json",
+    "classify {d}/D.json",
+    "classify {d}/E.json",
+    "classify {d}/F.json",
+    "classify {d}/union.json",
+    "classify {d}/s12.json",
+    "classify {d}/n2.json",
+    "classify {d}/zero.json",
+    "classify {d}/euler.json",
+    "classify {d}/malformed.json",
+    "classify {d}/missing.json",
+    "graph {d}/s12.json --dot {d}/s12.dot",
+    "graph {d}/union.json",
+    "graph {d}/F.json --dot {d}/F.dot",
+    "graph {d}/nonintegral.json",
+    "graph --cap 1 {d}/union.json",
+    "graph --cap -1 {d}/s12.json",
+    "graph --cap -1 {d}/zero.json",
+    "graph {d}/zero.json",
+    "graph {d}/dup.json --dot {d}/dup.dot",
+    "graph {d}/latin1.json",
+    "graph {d}/missing.json",
+    "sum {d}/s12.json {d}/s13.json",
+    "sum {d}/s12.json {d}/s13.json --out {d}/sum.json",
+    "validate {d}/sum.json",
+    "localize {d}/sum.json",
+    "classify {d}/sum.json",
+    "graph {d}/sum.json --dot {d}/sum.dot",
+    "sum {d}/sum.json {d}/s12.json",
+    "sum {d}/s12.json {d}/union.json",
+    "sum {d}/s12.json {d}/n2.json",
+    "sum {d}/n2.json {d}/n2.json",
+    "sum {d}/s12.json {d}/zero.json",
+    "sum {d}/zero.json {d}/s12.json",
+    "sum {d}/dup.json {d}/s12.json",
+    "sum {d}/zero.json {d}/n2.json",
+    "sum {d}/s12.json {d}/malformed.json",
+    "sum {d}/missing.json {d}/s12.json",
+    "sweep --case F --a 1..3 --b 1..2 --assert c1_cubed=-2 --assert todd=0",
+    "sweep --case C --a=-1..1 --assert euler=4",
+    "sweep --case A --a 1..2 --b 1..2 --c 1..3",
+    "sweep --case B --a 1..2 --b 1..2 --assert todd=0 --max-failures 1",
+    "admissible 3 1",
+    "admissible 4 1",
+    "admissible 2 1",
+    "admissible 3 7",
+    "framing 1 2",
+    "framing 2 3",
+    "framing 1 1",
+    "framing 0 1",
+]
+
+
+def test_cli_outputs_are_frozen(tmp_path, capsys):
+    """Exit code, stdout and the text of any --out or --dot file of each
+    command line, with the input directory's path replaced by "{d}"."""
+    for name, content in _cli_files().items():
+        (tmp_path / name).write_bytes(content)
+    d = str(tmp_path)
+
+    def outcome(line):
+        argv = line.format(d=d).split()
+        code = run(argv)
+        written = [Path(argv[i + 1]) for i, a in enumerate(argv) if a in ("--out", "--dot")]
+        texts = [f.read_text(encoding="utf-8") if f.exists() else None for f in written]
+        return [code, capsys.readouterr().out, texts]
+
+    _check("CLI", _CLI_CORPUS, lambda line: json.loads(_canonical(outcome(line)).replace(d, "{d}")),
+           "e9b64c03b10c103139abe324095adcd09d40bb71811ebb243b34c7048337c6d7", ["e856a24f776c"])
