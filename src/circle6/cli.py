@@ -6,6 +6,8 @@ admissible, framing, verify-gluing, sweep. Reports are JSON on stdout
 "p/q" strings, so output is byte-stable for identical inputs and seeds.
 Exit codes: 0 success, 1 validation/assertion failure, 2 usage error.
 When --out cannot be written, the error payload goes to stdout instead.
+Dataset files are read unvalidated: `validate` lists the violations, and
+the other subcommands leave them to their operation's InvalidData gate.
 
 `run` parses with one parser per process, built by `build_parser()` the
 first time `run` needs it (not at import) and reused by every later call;
@@ -26,7 +28,7 @@ from . import core
 from .classifier import (CaseTag, JangCase, classify, gen_family, jang_case,
                          param_names)
 from .core import format_rational, parse_rational
-from .errors import BadArgument, ParseError, ToolkitError, ValidationError
+from .errors import BadArgument, ParseError, ToolkitError
 from .localization import _localize, chern_report
 from .multigraph import DEFAULT_MATCHING_CAP, build_multigraphs, connectivity_verdict
 from .surgery import (DimensionPair, equivariant_normal_framing_class,
@@ -171,18 +173,13 @@ def _emit(payload: dict, args) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args):
-    try:
-        core.load(args.file)
-    except ValidationError as exc:
-        violations = exc.violations
-    else:
-        violations = []
+    violations = core.validate(core._read(args.file))
     payload = {"ok": not violations, "violations": [core._json_fields(v) for v in violations]}
     return (0 if not violations else 1), payload
 
 
 def _cmd_localize(args):
-    data = core.load(args.file)
+    data = core._read(args.file)
     if args.raw:
         value, coeffs = _localize(data)
         return 0, {
@@ -195,7 +192,7 @@ def _cmd_localize(args):
 
 
 def _cmd_classify(args):
-    data = core.load(args.file)
+    data = core._read(args.file)
     result = classify(data)
     return 0, {
         "matches": [
@@ -217,7 +214,7 @@ def _cmd_generate(args):
 
 
 def _cmd_graph(args):
-    data = core.load(args.file)
+    data = core._read(args.file)
     graphs = build_multigraphs(data, cap=args.cap)
     verdict = connectivity_verdict(graphs)
     if args.dot:
@@ -231,8 +228,8 @@ def _cmd_graph(args):
 
 
 def _cmd_sum(args):
-    d1 = core.load(args.file1)
-    d2 = core.load(args.file2)
+    d1 = core._read(args.file1)
+    d2 = core._read(args.file2)
     result = kustarev_sum(d1, None, d2, None)
     payload: dict = {"report": result.report.as_json_dict()}
     if args.out:

@@ -35,7 +35,7 @@ from os import PathLike
 from pathlib import Path
 from typing import IO
 
-from .errors import BadArgument, InvalidData, ParseError, ValidationError
+from .errors import BadArgument, InvalidData, ParseError
 
 # Exact rational scalar used everywhere a localization sum can be fractional.
 RationalScalar = Fraction
@@ -375,15 +375,13 @@ def _parse_document(doc) -> FixedPointData:
     return dataset(doc["n"], points, homology=homology, labels=labels)
 
 
-def load(source: str | PathLike | IO[str]) -> FixedPointData:
-    """Read and fully check a dataset document.
+def _read(source: str | PathLike | IO[str]) -> FixedPointData:
+    """Read a dataset document without validating it.
 
     The source is a path (`str` or `os.PathLike`) or a stream with a
     `read` method. Raises BadArgument for any other source, before
-    anything is opened; ParseError for an unreadable or non-UTF-8 file,
-    malformed JSON or schema violations; and ValidationError (carrying the
-    violation list) when the document is schema-valid but breaks a dataset
-    invariant.
+    anything is opened, and ParseError for an unreadable or non-UTF-8
+    file, malformed JSON or schema violations.
     """
     try:
         if hasattr(source, "read"):
@@ -395,8 +393,12 @@ def load(source: str | PathLike | IO[str]) -> FixedPointData:
         raise ParseError(f"malformed JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
-    data = _parse_document(doc)
-    violations = validate(data)
-    if violations:
-        raise ValidationError(violations)
+    return _parse_document(doc)
+
+
+def load(source: str | PathLike | IO[str]) -> FixedPointData:
+    """Read a dataset document with `_read` and refuse invalid data with
+    InvalidData, a ValidationError carrying the violation list."""
+    data = _read(source)
+    _require_valid(data)
     return data

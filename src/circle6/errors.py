@@ -17,7 +17,7 @@ class ParseError(ToolkitError):
 
 
 class ValidationError(ToolkitError):
-    """A dataset that parses but violates an invariant.
+    """A dataset that parses but violates an invariant (raised as InvalidData).
 
     Carries the full list of violations so callers can report all problems
     at once instead of failing on the first.

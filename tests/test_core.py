@@ -19,6 +19,7 @@ from circle6 import (
     FixedPoint,
     FixedPointData,
     HomologyProfile,
+    InvalidData,
     JangCase,
     ParseError,
     SPHERE_PROFILE,
@@ -224,6 +225,16 @@ def test_load_rejects_duplicate_names(tmp_path):
     with pytest.raises(ValidationError) as err:
         load(path)
     assert any(v.rule == "DuplicateName" for v in err.value.violations)
+
+
+def test_load_refuses_invalid_data_as_invalid_data(tmp_path):
+    path = tmp_path / "zero.json"
+    save(dataset(3, [("p1", (0, 1, -1))]), path)
+    # the base class catches it, so `except ValidationError` keeps working
+    with pytest.raises(ValidationError) as err:
+        load(path)
+    assert type(err.value) is InvalidData
+    assert [v.rule for v in err.value.violations] == ["ZeroWeight"]
 
 
 def test_load_rejects_truncated_file(tmp_path):

@@ -354,4 +354,4 @@ def test_cli_outputs_are_frozen(tmp_path, capsys):
         return [code, capsys.readouterr().out, texts]
 
     _check("CLI", _CLI_CORPUS, lambda line: json.loads(_canonical(outcome(line)).replace(d, "{d}")),
-           "e9b64c03b10c103139abe324095adcd09d40bb71811ebb243b34c7048337c6d7", ["e856a24f776c"])
+           "45344650d4cbcc2ae527163f192842e5d386ce10574fe936587caa71ece41c69", ["d9ad5d43992a"])

@@ -4,6 +4,9 @@ runs the localization layer's integer pass at most once."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+
+import pytest
 
 from circle6 import (QUADRIC_Q3, HomologyProfile, build_multigraphs, c1_cubed,
                      chern_report, chi_y_profile, classify, gen_family, jang_case,
@@ -36,13 +39,31 @@ def test_recognition_validates_once(validate_calls):
     assert validate_calls == [member]
 
 
-def test_cli_localize_validates_on_load_and_in_the_report(tmp_path, capsys,
-                                                         validate_calls):
+def test_cli_localize_validates_once(tmp_path, capsys, validate_calls):
     f = tmp_path / "s6.json"
     save(standard_sphere(1, 2), f)
     assert run(["localize", str(f)]) == 0
     assert json.loads(capsys.readouterr().out)["euler"] == 2
-    assert len(validate_calls) == 2
+    assert len(validate_calls) == 1
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["validate", "{s}"], 1),
+    (["localize", "{s}"], 1),
+    (["localize", "--raw", "{s}"], 1),
+    (["classify", "{f}"], 1),
+    (["graph", "{s}"], 1),
+    (["sum", "{s}", "{f}"], 2),
+    (["generate", "F", "1", "1"], 1),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_cli_validates_each_input_file_once(argv, calls, tmp_path, capsys, validate_calls):
+    files = {"s": tmp_path / "s6.json", "f": tmp_path / "f.json"}
+    save(standard_sphere(1, 2), files["s"])
+    save(replace(gen_family(jang_case("F", 1, 1)), homology=HomologyProfile(True, 1, 0, True)),
+         files["f"])
+    assert run([a.format(**files) for a in argv]) == 0
+    capsys.readouterr()
+    assert len(validate_calls) == calls
 
 
 def test_each_operation_runs_the_integer_pass_once(pass_calls):
@@ -57,13 +78,13 @@ def test_each_operation_runs_the_integer_pass_once(pass_calls):
     assert pass_calls == [member.weight_rows()]
 
 
-def test_cli_localize_raw_validates_twice_and_runs_the_integer_pass_once(
+def test_cli_localize_raw_validates_once_and_runs_the_integer_pass_once(
         tmp_path, capsys, validate_calls, pass_calls):
     f = tmp_path / "s6.json"
     save(standard_sphere(1, 2), f)
     assert run(["localize", "--raw", str(f)]) == 0
     assert json.loads(capsys.readouterr().out)["chi_y_coeffs"] == [0, 1, 1, 0]
-    assert len(validate_calls) == 2
+    assert len(validate_calls) == 1
     assert len(pass_calls) == 1
 
 
