@@ -165,9 +165,10 @@ def _require_dataset(data) -> None:
 
     It checks the shape of the fields, not their values: `points` is a
     tuple of FixedPoint, each with a tuple of weights, `homology` is None
-    or a HomologyProfile, and `labels` is a mapping. Names, weights, n and
-    the Betti numbers are left to :func:`validate`, which reports them as
-    violations."""
+    or a HomologyProfile with bool flags, and `labels` maps str to str, as
+    a saved document must for `load` to read it back. Names, weights, n
+    and the Betti numbers are left to :func:`validate`, which reports them
+    as violations."""
     if not isinstance(data, FixedPointData):
         raise BadArgument(f"expected a FixedPointData dataset, got {type(data).__name__}")
     if not isinstance(data.points, tuple):
@@ -175,10 +176,13 @@ def _require_dataset(data) -> None:
     for p in data.points:
         if not isinstance(p, FixedPoint) or not isinstance(p.weights, tuple):
             raise BadArgument(f"points must be FixedPoint values with tuple weights, got {p!r}")
-    if data.homology is not None and not isinstance(data.homology, HomologyProfile):
-        raise BadArgument(f"homology must be None or a HomologyProfile, got {data.homology!r}")
-    if not isinstance(data.labels, Mapping):
-        raise BadArgument(f"labels must be a mapping, got {data.labels!r}")
+    h = data.homology
+    if h is not None and not (isinstance(h, HomologyProfile) and isinstance(h.simply_connected, bool)
+                              and isinstance(h.torsion_free, bool)):
+        raise BadArgument(f"homology must be None or a HomologyProfile with bool flags, got {h!r}")
+    if not isinstance(data.labels, Mapping) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in data.labels.items()):
+        raise BadArgument(f"labels must map strings to strings, got {data.labels!r}")
 
 
 def _require_integer_weights(data) -> None:

@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import circle6
 from circle6 import (
@@ -152,6 +154,24 @@ def test_a_dataset_with_a_non_integer_weight_is_a_bad_argument(op, weight):
         op(dataset(3, [("p1", (weight, 2, -3)), ("p2", (-1, -2, 3))]))
 
 
+# Datasets that `save` would write and `load` refuse or change: labels that
+# do not map str to str, homology flags that are not bools.
+_UNSAVABLE = [FixedPointData(3, standard_sphere(1, 2).points, labels={"note": 1}),
+              FixedPointData(3, standard_sphere(1, 2).points, labels={1: "x"}),
+              FixedPointData(3, standard_sphere(1, 2).points,
+                             homology=HomologyProfile("yes", 0, 0, True)),
+              FixedPointData(3, standard_sphere(1, 2).points,
+                             homology=HomologyProfile(1, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("data", _UNSAVABLE, ids=["int-label", "int-key", "str-flag", "int-flags"])
+def test_validate_and_save_refuse_what_load_would_not_read_back(data):
+    with pytest.raises(BadArgument):
+        validate(data)
+    with pytest.raises(BadArgument):
+        save(data, io.StringIO())
+
+
 # The junk pool of the API contract below; extend it rather than adding a
 # test per leak.
 _POOL = [None, "x", 1.5, True, -1, 0, [], (1,), standard_sphere(1, 2),
@@ -160,7 +180,7 @@ _POOL = [None, "x", 1.5, True, -1, 0, [], (1,), standard_sphere(1, 2),
          # datasets whose fields have the wrong shape
          FixedPointData(3, (FixedPoint("a", 7),)), FixedPointData(3, ((1, 2),)),
          FixedPointData(3, standard_sphere(1, 2).points, homology="x"),
-         FixedPointData(3, standard_sphere(1, 2).points, labels=None)]
+         FixedPointData(3, standard_sphere(1, 2).points, labels=None)] + _UNSAVABLE
 
 
 def test_every_public_function_returns_or_raises_a_toolkit_error():
@@ -290,6 +310,24 @@ def test_save_load_round_trip_is_identity(tmp_path):
         buf = io.StringIO()
         save(d, buf)
         assert load(io.StringIO(buf.getvalue())) == d
+
+
+_ROWS = st.lists(st.tuples(st.text(min_size=1, max_size=4),
+                           st.tuples(*[st.sampled_from([w for w in range(-9, 10) if w])] * 3)),
+                 max_size=4, unique_by=lambda row: row[0])
+_PROFILES = st.none() | st.builds(HomologyProfile, st.booleans(), st.integers(0, 3),
+                                  st.integers(0, 2).map(lambda k: 2 * k), st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_ROWS, homology=_PROFILES,
+       labels=st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=3))
+def test_every_dataset_validate_accepts_survives_a_save_load_round_trip(rows, homology, labels):
+    d = dataset(3, rows, homology=homology, labels=labels)
+    assume(validate(d) == [])
+    buf = io.StringIO()
+    save(d, buf)
+    assert load(io.StringIO(buf.getvalue())) == d
 
 
 def test_datasets_hash_by_value_and_labels_count_in_equality_only():
