@@ -180,9 +180,11 @@ def _require_dataset(data) -> None:
     if h is not None and not (isinstance(h, HomologyProfile) and isinstance(h.simply_connected, bool)
                               and isinstance(h.torsion_free, bool)):
         raise BadArgument(f"homology must be None or a HomologyProfile with bool flags, got {h!r}")
-    if not isinstance(data.labels, Mapping) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in data.labels.items()):
-        raise BadArgument(f"labels must map strings to strings, got {data.labels!r}")
+    if not isinstance(data.labels, Mapping):
+        raise BadArgument(f"labels must be a mapping, got {data.labels!r}")
+    for k, v in data.labels.items():
+        if not (isinstance(k, str) and isinstance(v, str)):
+            raise BadArgument(f"labels must map strings to strings, got {data.labels!r}")
 
 
 def _require_integer_weights(data) -> None:
