@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -554,6 +554,52 @@ def test_negating_all_weights_flips_every_reversed_flag(rows):
     d = dataset(3, [(f"p{i}", ws) for i, ws in enumerate(rows)])
     flipped = {(tag, params, not rev) for tag, params, rev in _triples(classify(d))}
     assert _triples(classify(negate_all(d))) == flipped
+
+
+def _smallest_point_order(data, match):
+    """By brute force: the lexicographically smallest order of the data's
+    point names whose weight multisets are the match's generated slots."""
+    sign = -1 if match.reversed else 1
+    slots = [sorted(sign * w for w in ws) for ws in gen_family(match.case).weight_rows()]
+    return min(tuple(p.name for p in order) for order in permutations(data.points)
+               if [sorted(p.weights) for p in order] == slots)
+
+
+def _check_smallest_assignments(data):
+    matches = classify(data).matches
+    for m in matches:
+        assert m.assignment == _smallest_point_order(data, m), (data, m)
+    return matches
+
+
+@st.composite
+def doubled_sphere_rows(draw):
+    """Two copies of one standard sphere's points, shuffled, weights in any
+    order: every weight multiset is carried by two points."""
+    a, b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = [(a, b, -a - b), (-a, -b, a + b)] * 2
+    return [tuple(draw(st.permutations(ws))) for ws in draw(st.permutations(rows))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.one_of(four_point_data(), doubled_sphere_rows()), data=st.data())
+def test_each_assignment_is_the_smallest_point_order_with_the_generated_multisets(rows, data):
+    names = data.draw(st.permutations(["a", "b", "c", "zz"]))
+    _check_smallest_assignments(dataset(3, list(zip(names, rows))))
+
+
+@pytest.mark.parametrize("names", [("p1", "p2", "p3", "p4"), ("z", "b", "y", "a"),
+                                   ("b", "z", "a", "y")])
+@pytest.mark.parametrize("rows", [
+    pytest.param(kustarev_sum(standard_sphere(1, 2), None, standard_sphere(1, 2), None)
+                 .data.weight_rows(), id="sum of two equal spheres"),
+    pytest.param(_member("D", 2, 3, 2, 3).weight_rows(), id="D(2,3,2,3)"),
+    pytest.param(_member("D", 1, 1, 1, 1).weight_rows(), id="D(1,1,1,1)"),
+])
+def test_repeated_points_take_their_names_in_slot_order(rows, names):
+    # a weight multiset carried by two points goes to two slots; the
+    # smallest assignment names those slots in ascending order
+    assert _check_smallest_assignments(dataset(3, list(zip(names, rows))))
 
 
 # ---- diffeotype recognition ----------------------------------------------
