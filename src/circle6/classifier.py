@@ -29,18 +29,24 @@ target, the sorted weight multisets of an orientation. When the reversed
 data has the data's own multisets (every member of cases B, C, D and F,
 every sum of two spheres) N_0 = N_3, so both orientations admit the same
 cases, and the hits depend on the target alone; the reversed orientation
-reuses them and only hands out point names from its own pool.
+reuses them and only hands out its own point names.
 
-For each case tried the matcher takes only the (point, weight order)
-choices for the pinning slots that the forced signs allow, and reads the
-parameters off them. A choice is kept only when its slot regenerates
-itself: the template, evaluated at the parameters read off it (the other
-parameters 0), gives back that exact weight order in that slot. A true
-match always passes this self-check, and most false ones stop there.
-Choices for different pins combine only over distinct points, since a
-match puts each slot on its own point. The matcher regenerates the whole
-family only for the combinations that remain, and keeps those whose
-family equals the data as a multiset of weight multisets.
+For each case tried the matcher steps through every weight order of every
+point together with its sign vector, keeps the orders whose signs a pin's
+forced signs allow, and reads the parameters off them. A choice is kept
+only when its slot regenerates itself: the template, evaluated at the
+parameters read off it (the other parameters 0), gives back that exact
+weight order in that slot. A true match always passes this self-check,
+and most false ones stop there. Choices for different pins combine only
+over distinct points, since a match puts each slot on its own point. The
+matcher regenerates the whole family only for the combinations that
+remain, and keeps those whose family equals the data as a multiset of
+weight multisets.
+
+Point names go out by rank: a stable sort orders a match's slots by
+generated multiset, and the slot of rank i takes the i-th point name in
+(weight multiset, name) order, so slots with equal multisets take their
+names in slot order, the lexicographically smallest assignment.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import permutations, product
+from operator import itemgetter
 from typing import Callable, Mapping
 
 from .core import FixedPointData, _is_int, _require_valid, dataset
@@ -198,7 +205,7 @@ class _Pin:
     entry of the slot depends on these parameters alone."""
 
     slot: int
-    keys: tuple[tuple[bool, bool, bool], ...]
+    keys: frozenset[tuple[bool, bool, bool]]
     reads: tuple[tuple[int, int, int], ...]
 
 
@@ -245,7 +252,7 @@ def _plan(tag: CaseTag) -> _Plan:
     for _, s, bare, deps, signs in sorted(slots):
         if deps and deps == bare.keys() and not deps & read:
             read |= deps
-            pins.append(_Pin(s, tuple(product(*((sg > 0,) if sg else (True, False) for sg in signs))),
+            pins.append(_Pin(s, frozenset(product(*((sg > 0,) if sg else (True, False) for sg in signs))),
                              tuple((bare[i][0], i, bare[i][1]) for i in sorted(deps))))
     if len(read) < len(names):
         raise ValueError(f"case {tag.value}: no pinned slot reads "
@@ -265,19 +272,8 @@ _C1_SAMPLES = ((1, 2, 3, 4), (2, 3, 4, 5), (3, 4, 5, 6))
 _PLANS = {tag: _plan(tag) for tag in CaseTag}
 
 
-def _orders_by_sign(pts: tuple[tuple[int, ...], ...]):
-    """Every weight order of every point as (point index, order), keyed by
-    the order's sign vector (True for a positive weight)."""
-    table: dict[tuple[bool, ...], list[tuple[int, tuple[int, ...]]]] = {}
-    for point, ws in enumerate(pts):
-        signs = tuple(w > 0 for w in ws)
-        for order, key in zip(permutations(ws), permutations(signs)):
-            table.setdefault(key, []).append((point, order))
-    return table
-
-
-def _candidates(plan: _Plan, orders: dict):
-    """The parameter vectors the pinning slots admit.
+def _candidates(plan: _Plan, pts: tuple[tuple[int, ...], ...]):
+    """The parameter vectors the pinning slots admit on the weight rows `pts`.
 
     A point in a weight order fills a pinning slot only when it has the
     slot's forced signs and regenerates itself: the template, evaluated at
@@ -293,8 +289,10 @@ def _candidates(plan: _Plan, orders: dict):
     per_pin = []
     for pin in plan.pins:
         by_point: dict[int, set[tuple[int, ...]]] = {}
-        for key in pin.keys:
-            for point, order in orders.get(key, ()):
+        for point, ws in enumerate(pts):
+            for order, key in zip(permutations(ws), permutations([w > 0 for w in ws])):
+                if key not in pin.keys:
+                    continue
                 params = [0] * k
                 for e, i, sign in pin.reads:
                     params[i] = sign * order[e]
@@ -379,22 +377,19 @@ def _classify(data: FixedPointData) -> ClassificationResult:
         key = tuple(target)
         if key not in hits:
             searched = hits[key] = []
-            orders = _orders_by_sign(pts)
             for pos, plan in cases:
                 # no _admissible check: pin keys force read signs; equal A params regenerate a 0 weight
-                for params in _candidates(plan, orders):
+                for params in _candidates(plan, pts):
                     generated = [tuple(sorted(ws)) for ws in plan.fn(*params)]
-                    if sorted(generated) == target:
-                        searched.append((pos, JangCase(plan.tag, params), generated))
-        # the pool: each weight multiset's point names, sorted
-        pool: dict[tuple[int, ...], list[str]] = {}
-        for name, m in sorted(zip(data.names(), multisets)):
-            pool.setdefault(m, []).append(name)
-        for pos, case, generated in hits[key]:
-            # all assignments for fixed params differ only by permuting
-            # identical points, so handing out each multiset's names in
-            # slot order gives the lexicographically smallest one
-            hand = {m: iter(group) for m, group in pool.items()}
-            found[pos, case.params, rev] = CaseMatch(
-                case, tuple([next(hand[m]) for m in generated]), rev)
+                    order = sorted(range(4), key=generated.__getitem__)   # stable
+                    if [generated[s] for s in order] == target:
+                        # the rank of each slot in that order picks its name
+                        rank = itemgetter(*sorted(range(4), key=order.__getitem__))
+                        searched.append((pos, JangCase(plan.tag, params), rank))
+        # all assignments for fixed params differ only by permuting identical
+        # points, so names sorted by (multiset, name) and taken by rank give
+        # each multiset's names in slot order: the smallest assignment
+        names = [name for _, name in sorted(zip(multisets, data.names()))]
+        for pos, case, rank in hits[key]:
+            found[pos, case.params, rev] = CaseMatch(case, rank(names), rev)
     return ClassificationResult(tuple(found[k] for k in sorted(found)))

@@ -116,10 +116,10 @@ def test_pinning_slots_are_derived_from_the_templates():
     assert slots == {"A": (0,), "B": (1,), "C": (1,), "D": (0, 2), "E": (0,), "F": (1,)}
     # the sign prefilter: case A's slot 0 is the all-positive point, case D
     # pins points of sign pattern (+, +, -), case C forces only constants
-    assert _PLANS[CaseTag.A_CP3].pins[0].keys == ((True, True, True),)
+    assert _PLANS[CaseTag.A_CP3].pins[0].keys == {(True, True, True)}
     assert [pin.keys for pin in _PLANS[CaseTag.D_S6_union].pins] == [
-        ((True, True, False),), ((True, True, False),)]
-    assert _PLANS[CaseTag.C_Fano].pins[0].keys == ((False, True, True), (False, True, False))
+        {(True, True, False)}, {(True, True, False)}]
+    assert _PLANS[CaseTag.C_Fano].pins[0].keys == {(False, True, True), (False, True, False)}
     # the self-check's premise: every entry of a pinned slot depends only
     # on the parameters that pin reads
     for tag, plan in _PLANS.items():
@@ -158,8 +158,7 @@ def test_a_slot_depending_on_a_parameter_it_does_not_read_is_not_pinned(monkeypa
     monkeypatch.setitem(classifier._FAMILIES, CaseTag.D_S6_union, (("a", "b", "c", "d"), fn, True))
     plan = classifier._plan(CaseTag.D_S6_union)
     assert tuple(pin.slot for pin in plan.pins) == (1, 2)
-    orders = classifier._orders_by_sign(fn(2, 3, 9, 4))
-    assert (2, 3, 9, 4) in classifier._candidates(plan, orders)
+    assert (2, 3, 9, 4) in classifier._candidates(plan, fn(2, 3, 9, 4))
 
 
 @pytest.mark.parametrize("tag, template", [
@@ -421,14 +420,14 @@ def test_the_chern_number_key_changes_no_result(monkeypatch):
 def test_case_d_candidates_are_exactly_the_matches_on_sphere_sums():
     # pinned slots take distinct points, so no candidate puts both of case
     # D's pins on one point and every candidate is a match
-    from circle6.classifier import _PLANS, _candidates, _orders_by_sign
+    from circle6.classifier import _PLANS, _candidates
     plan = _PLANS[CaseTag.D_S6_union]
     for a, b, c, d in product(range(1, 7), repeat=4):
         rows = ((a, b, -a - b), (-a, -b, a + b), (c, d, -c - d), (-c, -d, c + d))
         matches = classify(dataset(3, [(f"p{i}", ws) for i, ws in enumerate(rows)])).matches
         for rev in (False, True):
             pts = tuple(tuple(-w for w in ws) for ws in rows) if rev else rows
-            assert _candidates(plan, _orders_by_sign(pts)) == {
+            assert _candidates(plan, pts) == {
                 m.case.params for m in matches
                 if m.case.tag is CaseTag.D_S6_union and m.reversed is rev}, (rows, rev)
 
@@ -467,19 +466,20 @@ def _member(letter, *params):
     pytest.param(_member("E", 1, 1), 2, id="E(1,1)"),
 ])
 def test_a_reversal_with_the_same_weight_multisets_is_searched_once(monkeypatch, data, searches):
-    # one orders table per search: the reversed orientation reuses the
-    # forward hits when its weight multisets are the data's own
+    # each search passes its orientation's rows to _candidates: the reversed
+    # orientation reuses the forward hits when its weight multisets are the
+    # data's own
     from circle6 import classifier
-    calls = []
-    original = classifier._orders_by_sign
+    searched = set()
+    original = classifier._candidates
 
-    def counting(pts):
-        calls.append(pts)
-        return original(pts)
+    def counting(plan, pts):
+        searched.add(pts)
+        return original(plan, pts)
 
-    monkeypatch.setattr(classifier, "_orders_by_sign", counting)
+    monkeypatch.setattr(classifier, "_candidates", counting)
     matches = classify(data).matches
-    assert len(calls) == searches
+    assert len(searched) == searches
     if searches == 1:
         # every match is found in both orientations
         assert {(m.case, m.reversed) for m in matches} == {
@@ -512,7 +512,7 @@ def _triples(result):
 @settings(max_examples=300, deadline=None)
 @given(tag=st.sampled_from(ALL_TAGS), data=st.data())
 def test_the_self_check_never_prunes_the_generating_parameters(tag, data):
-    from circle6.classifier import _FAMILIES, _PLANS, _admissible, _candidates, _orders_by_sign
+    from circle6.classifier import _FAMILIES, _PLANS, _admissible, _candidates
     plan = _PLANS[tag]
     k = len(param_names(tag))
     lo = -30 if tag is CaseTag.C_Fano else 1
@@ -527,7 +527,7 @@ def test_the_self_check_never_prunes_the_generating_parameters(tag, data):
     shuffled = dataset(3, data.draw(st.permutations(list(zip(names, rows)))))
     # classify undoes a reversal before it reads the pinned slots
     pts = tuple(tuple(-w for w in ws) if reversed_ else ws for ws in shuffled.weight_rows())
-    assert params in _candidates(plan, _orders_by_sign(pts))
+    assert params in _candidates(plan, pts)
 
 
 @settings(max_examples=150, deadline=None)
