@@ -35,7 +35,7 @@ from os import PathLike
 from pathlib import Path
 from typing import IO
 
-from .errors import BadArgument, InvalidData, ParseError
+from .errors import BadArgument, InvalidData, ParseError, _shown
 
 # Exact rational scalar used everywhere a localization sum can be fractional.
 RationalScalar = Fraction
@@ -209,7 +209,7 @@ def validate(data: FixedPointData) -> list[Violation]:
     _require_dataset(data)
     out: list[Violation] = []
     if not _is_int(data.n) or data.n < 1:
-        out.append(Violation("BadHalfDimension", None, f"n must be a positive integer, got {data.n!r}"))
+        out.append(Violation("BadHalfDimension", None, f"n must be a positive integer, got {_shown(data.n)}"))
     seen: set[str] = set()
     for p in data.points:
         if not isinstance(p.name, str) or not p.name:
@@ -221,23 +221,23 @@ def validate(data: FixedPointData) -> list[Violation]:
         seen.add(p.name)
         bad_type = [w for w in p.weights if not _is_int(w)]
         if bad_type:
-            out.append(Violation("NonIntegerWeight", p.name, f"weights must be integers, got {bad_type!r}"))
+            out.append(Violation("NonIntegerWeight", p.name, f"weights must be integers, got {_shown(bad_type)}"))
             continue
         if _is_int(data.n) and data.n >= 1 and len(p.weights) != data.n:
             out.append(Violation("WrongArity", p.name,
-                                 f"expected {data.n} weights, got {len(p.weights)}"))
+                                 f"expected {_shown(data.n)} weights, got {len(p.weights)}"))
         if any(w == 0 for w in p.weights):
             out.append(Violation("ZeroWeight", p.name, "weights must be nonzero"))
     h = data.homology
     if h is not None:
         if not _is_int(h.b2) or h.b2 < 0 or not _is_int(h.b3) or h.b3 < 0:
-            out.append(Violation("NegativeBetti", None, f"b2={h.b2!r}, b3={h.b3!r} must be nonnegative integers"))
+            out.append(Violation("NegativeBetti", None, f"b2={_shown(h.b2)}, b3={_shown(h.b3)} must be nonnegative integers"))
         elif h.b3 % 2 != 0:
-            out.append(Violation("OddB3", None, f"b3 must be even, got {h.b3}"))
+            out.append(Violation("OddB3", None, f"b3 must be even, got {_shown(h.b3)}"))
         elif h.simply_connected and h.torsion_free and h.euler() != len(data.points):
             out.append(Violation(
                 "EulerMismatch", None,
-                f"2 + 2*b2 - b3 = {h.euler()} but the dataset has {len(data.points)} fixed points"))
+                f"2 + 2*b2 - b3 = {_shown(h.euler())} but the dataset has {len(data.points)} fixed points"))
     return out
 
 
@@ -261,7 +261,10 @@ def format_rational(x: Fraction | int) -> str:
     if not isinstance(x, Rational):
         raise BadArgument(f"expected an exact rational, got {x!r}")
     f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:   # past the int/str digit limit
+        raise BadArgument("rational too long to print as p/q") from None
 
 
 def _json_fields(result) -> dict:
@@ -329,7 +332,10 @@ def save(data: FixedPointData, target: str | PathLike | IO[str]) -> None:
     `write` method. Raises BadArgument for any other target, before
     anything is opened, and when a target path cannot be written.
     """
-    text = json.dumps(document(data), sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(document(data), sort_keys=True, indent=2) + "\n"
+    except ValueError:   # past the int/str digit limit
+        raise BadArgument("an integer of the dataset is too long to write as JSON") from None
     if hasattr(target, "write"):
         target.write(text)
     else:
@@ -387,17 +393,20 @@ def _read(source: str | PathLike | IO[str]) -> FixedPointData:
     The source is a path (`str` or `os.PathLike`) or a stream with a
     `read` method. Raises BadArgument for any other source, before
     anything is opened, and ParseError for an unreadable or non-UTF-8
-    file, malformed JSON or schema violations.
+    file, malformed JSON, an integer past Python's int/str digit limit
+    (`sys.set_int_max_str_digits`) or schema violations.
     """
+    if not hasattr(source, "read"):
+        _require_path(source)   # before the try: BadArgument is a ValueError
     try:
         if hasattr(source, "read"):
             doc = json.load(source)
         else:
-            with open(_require_path(source), encoding="utf-8") as fh:
+            with open(source, encoding="utf-8") as fh:
                 doc = json.load(fh)
     except (json.JSONDecodeError, RecursionError) as exc:   # too deeply nested
         raise ParseError(f"malformed JSON: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # ValueError: not UTF-8, or too many digits
         raise ParseError(f"cannot read {source}: {exc}") from exc
     return _parse_document(doc)
 

@@ -3,6 +3,16 @@
 from __future__ import annotations
 
 
+def _shown(value, text=repr) -> str:
+    """text(value) for a message, or a stand-in when value holds an integer
+    past Python's int/str digit limit (`sys.set_int_max_str_digits`), which
+    str and repr refuse with a ValueError."""
+    try:
+        return text(value)
+    except ValueError:
+        return "<too many digits to print>"
+
+
 class ToolkitError(Exception):
     """Base class for all errors raised by circle6."""
 
@@ -50,7 +60,7 @@ class NonIntegralChernNumber(ToolkitError):
 
     def __init__(self, value):
         self.value = value
-        super().__init__(f"c_1^3 localization sum is not an integer: {value}")
+        super().__init__(f"c_1^3 localization sum is not an integer: {_shown(value, str)}")
 
 
 class BadParams(ToolkitError):

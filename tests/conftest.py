@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -63,3 +64,20 @@ def pass_calls(monkeypatch):
     for module in (localization, classifier):
         monkeypatch.setattr(module, "_integer_pass", counting)
     return calls
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's int/str digit limit, lowered to its minimum (640) while the
+    test runs and restored after it, so a 641-digit integer is past it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(old)
+
+
+def too_many_digits_document(digits: int) -> str:
+    """A sphere document whose third weight has `digits` digits, written as
+    text (json.dumps would refuse such an integer past the limit)."""
+    return ('{"n": 3, "fixed_points": [{"name": "p1", "weights": [1, 2, -%s]}, '
+            '{"name": "p2", "weights": [-1, -2, 3]}]}' % ("7" * digits))

@@ -12,6 +12,7 @@ import pytest
 
 from circle6 import cli, kustarev_sum, load, save, standard_sphere
 from circle6.cli import run
+from conftest import too_many_digits_document
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -74,6 +75,44 @@ def test_localize_non_integral_is_an_error(tmp_path, capsys):
     code, payload = _run_json(capsys, ["localize", str(f), "--raw"])
     assert code == 0
     assert payload["c1_cubed"] == "343/8"
+
+
+@pytest.mark.parametrize("command", ["validate", "localize", "classify", "graph"])
+def test_an_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys, digit_limit, command):
+    f = tmp_path / "big.json"
+    f.write_text(too_many_digits_document(digit_limit + 1))
+    code, payload = _run_json(capsys, [command, str(f)])
+    assert code == 1
+    assert payload["error"] == "ParseError"
+
+
+def test_localize_past_the_digit_limit_is_an_error_payload(tmp_path, capsys, digit_limit):
+    # valid weights whose c_1^3 has a denominator of about 3 * 250 digits
+    w = 10 ** 250
+    p = [w + 1, w + 3, w + 7]
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps({"n": 3, "fixed_points": [
+        {"name": "p", "weights": p}, {"name": "q", "weights": [-x for x in p]}]}))
+    assert _run_json(capsys, ["validate", str(f)]) == (0, {"ok": True, "violations": []})
+    code, payload = _run_json(capsys, ["localize", str(f)])
+    assert code == 1
+    assert payload["error"] == "NonIntegralChernNumber"
+    code, payload = _run_json(capsys, ["localize", str(f), "--raw"])
+    assert code == 1
+    assert payload["error"] == "BadArgument"
+
+
+def test_validate_reports_an_euler_number_past_the_digit_limit(tmp_path, capsys, digit_limit):
+    # b2 fits the limit, 2 + 2*b2 - b3 has one digit more
+    f = _write_sphere(tmp_path / "s6.json")
+    doc = json.loads(f.read_text())
+    doc["homology"]["b2"] = 9 * 10 ** (digit_limit - 1)
+    f.write_text(json.dumps(doc))
+    code, payload = _run_json(capsys, ["validate", str(f)])
+    assert code == 1
+    [violation] = payload["violations"]
+    assert violation["rule"] == "EulerMismatch"
+    assert "<too many digits to print>" in violation["message"]
 
 
 def test_classify_round_trip_via_files(tmp_path, capsys):

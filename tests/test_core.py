@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -23,6 +24,7 @@ from circle6 import (
     HomologyProfile,
     InvalidData,
     JangCase,
+    NonIntegralChernNumber,
     ParseError,
     SPHERE_PROFILE,
     ValidationError,
@@ -51,7 +53,7 @@ from circle6 import (
     todd_genus,
     validate,
 )
-from conftest import sphere_data, sphere_points
+from conftest import sphere_data, sphere_points, too_many_digits_document
 
 
 # ---- validation ----------------------------------------------------------
@@ -376,6 +378,75 @@ def test_save_refuses_a_target_that_is_neither_path_nor_stream(junk):
 def test_document_omits_empty_optionals():
     doc = document(sphere_data())
     assert set(doc) == {"n", "fixed_points"}
+
+
+# ---- integers past Python's int/str digit limit --------------------------
+
+STAND_IN = "<too many digits to print>"
+
+
+def test_load_of_an_integer_past_the_digit_limit_is_a_parse_error(tmp_path, digit_limit):
+    path = tmp_path / "big.json"
+    path.write_text(too_many_digits_document(digit_limit + 1))
+    for read in (load, circle6.core._read):
+        for source in (path, str(path), io.StringIO(path.read_text())):
+            with pytest.raises(ParseError, match="digits"):
+                read(source)
+
+
+def test_save_past_the_digit_limit_is_a_bad_argument_and_writes_nothing(tmp_path, digit_limit):
+    data = dataset(3, [("p", (1, 2, -10 ** digit_limit))])
+    path, stream = tmp_path / "big.json", io.StringIO()
+    for target in (path, stream):
+        with pytest.raises(BadArgument, match="too long"):
+            save(data, target)
+    assert not path.exists()
+    assert stream.getvalue() == ""
+
+
+def test_format_rational_past_the_digit_limit_is_a_bad_argument(digit_limit):
+    for x in (10 ** digit_limit, Fraction(1, 10 ** digit_limit)):
+        with pytest.raises(BadArgument, match="too long"):
+            format_rational(x)
+    assert format_rational(Fraction(1, 10 ** (digit_limit - 1))) == "1/1" + "0" * (digit_limit - 1)
+
+
+def test_validate_messages_do_not_print_integers_past_the_digit_limit(digit_limit):
+    big = 10 ** digit_limit
+    sphere = sphere_points(1, 2)
+    cases = [
+        (dataset(3, sphere, homology=HomologyProfile(True, -big, 0, True)), "NegativeBetti"),
+        (dataset(3, sphere, homology=HomologyProfile(True, big, 0, True)), "EulerMismatch"),
+        (dataset(3, sphere, homology=HomologyProfile(True, 0, big + 1, True)), "OddB3"),
+        (dataset(-big, []), "BadHalfDimension"),
+        (dataset(big, [("p", (1,))]), "WrongArity"),
+        (dataset(3, [("p", (1, 2, Fraction(big, 3)))]), "NonIntegerWeight"),
+    ]
+    for data, rule in cases:
+        [violation] = validate(data)
+        assert violation.rule == rule
+        assert STAND_IN in violation.message
+        with pytest.raises(InvalidData) as err:
+            circle6.core._require_valid(data)
+        assert STAND_IN in str(err.value)
+
+
+def test_a_non_integral_chern_number_past_the_digit_limit_keeps_its_exact_value(digit_limit):
+    # e_p of each point has about 3 * 250 digits, past the lowered limit
+    w = 10 ** 250
+    p = (w + 1, w + 3, w + 7)
+    data = dataset(3, [("p", p), ("q", tuple(-x for x in p))])
+    with pytest.raises(NonIntegralChernNumber) as err:
+        chern_report(data)
+    assert err.value.value == c1_cubed(data) == Fraction(2 * sum(p) ** 3, p[0] * p[1] * p[2])
+    assert str(err.value) == f"c_1^3 localization sum is not an integer: {STAND_IN}"
+
+
+def test_messages_within_the_digit_limit_are_unchanged():
+    [violation] = validate(dataset(3, sphere_points(1, 2), homology=HomologyProfile(True, -7, 0, True)))
+    assert violation.message == "b2=-7, b3=0 must be nonnegative integers"
+    assert str(NonIntegralChernNumber(Fraction(343, 8))) == \
+        "c_1^3 localization sum is not an integer: 343/8"
 
 
 # ---- helpers -------------------------------------------------------------
