@@ -332,8 +332,9 @@ def save(data: FixedPointData, target: str | PathLike | IO[str]) -> None:
     `write` method. Raises BadArgument for any other target, before
     anything is opened, and when a target path cannot be written.
     """
+    doc = document(data)   # before the try: BadArgument is a ValueError
     try:
-        text = json.dumps(document(data), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     except ValueError:   # past the int/str digit limit
         raise BadArgument("an integer of the dataset is too long to write as JSON") from None
     if hasattr(target, "write"):

@@ -402,6 +402,9 @@ def test_save_past_the_digit_limit_is_a_bad_argument_and_writes_nothing(tmp_path
             save(data, target)
     assert not path.exists()
     assert stream.getvalue() == ""
+    # the digit-limit refusal leaves the type gate's message alone
+    with pytest.raises(BadArgument, match="expected a FixedPointData"):
+        save(None, stream)
 
 
 def test_format_rational_past_the_digit_limit_is_a_bad_argument(digit_limit):
