@@ -178,13 +178,11 @@ def standard_sphere(a: int, b: int) -> FixedPointData:
     return FixedPointData(3, pts, homology=SPHERE_PROFILE)
 
 
-def is_sphere_summand(data: FixedPointData, profile: HomologyProfile) -> bool:
-    """Whether (data, profile) is a standard sphere action: n = 3, two fixed
-    points with opposite zero-sum weight multisets and sphere homology."""
+def is_sphere_summand(data: FixedPointData) -> bool:
+    """Whether `data` is a standard sphere action: n = 3, two fixed points
+    with opposite zero-sum weight multisets and sphere homology attached."""
     _require_integer_weights(data)
-    if profile is None or profile != SPHERE_PROFILE:
-        return False
-    if data.n != 3 or len(data.points) != 2:
+    if data.homology != SPHERE_PROFILE or data.n != 3 or len(data.points) != 2:
         return False
     w1, w2 = data.points[0].weights, data.points[1].weights
     return sum(w1) == 0 and sorted(w2) == sorted(-w for w in w1)
@@ -218,8 +216,12 @@ class SumReport:
 @dataclass(frozen=True)
 class KustarevSum:
     data: FixedPointData
-    homology: HomologyProfile
     report: SumReport
+
+    @property
+    def homology(self) -> HomologyProfile:
+        """The profile of the sum: the one its dataset carries."""
+        return self.data.homology
 
 
 def kustarev_sum(
@@ -237,34 +239,32 @@ def kustarev_sum(
     preserve torsion-freeness, so the torsion flag is the conjunction.
     Non-simply-connected inputs are refused rather than extrapolated.
 
-    Profiles default to the ones attached to the datasets. Each summand
-    is validated with the profile the sum uses in place of its own, so an
-    explicit profile whose Euler characteristic contradicts the summand's
-    point count raises InvalidData; the sum of two such valid summands is
-    valid by the composition formulas. The report records the uniqueness
-    flag of the mod-8 gate and, when the summands are recognized, the
-    diffeomorphism type of the result; the output labels carry the same
-    provenance so it survives a save/load round trip.
+    A profile given as h1 or h2 stands for the summand `replace(d,
+    homology=h)`; None keeps the dataset's own. Each summand is validated
+    with the profile the sum reads, so one whose Euler characteristic
+    contradicts the point count raises InvalidData; the sum of two valid
+    summands is valid by the composition formulas. The report records the
+    uniqueness flag of the mod-8 gate and, when the summands are
+    recognized, the diffeomorphism type of the result; the output labels
+    carry the same provenance so it survives a save/load round trip.
     """
     _require_dataset(d1)
     _require_dataset(d2)
+    if h1 is not None or h2 is not None:
+        return kustarev_sum(d1 if h1 is None else replace(d1, homology=h1), None,
+                            d2 if h2 is None else replace(d2, homology=h2), None)
     if d1.n != d2.n:
         raise WrongDimension(f"summands must have equal n, got {d1.n} and {d2.n}")
-    h1 = h1 if h1 is not None else d1.homology
-    h2 = h2 if h2 is not None else d2.homology
+    h1, h2 = d1.homology, d2.homology
     if h1 is None or h2 is None:
         raise MissingProfile("both summands need a homology profile")
-    if not (isinstance(h1, HomologyProfile) and isinstance(h2, HomologyProfile)):
-        raise BadArgument(f"homology profiles must be HomologyProfile values, got {h1!r} and {h2!r}")
     adm = kustarev_admissible(DimensionPair(d1.n, 1))
     if not adm.exists:
         raise NotAdmissible(
             f"2n - k = {2 * d1.n - 1} is not 2, 4, 5, 6 mod 8; no invariant "
             f"almost complex structure on the glue region")
-    for d, h in ((d1, h1), (d2, h2)):
-        # validate reads no labels, so a summand with its own profile is
-        # checked as it is
-        _require_valid(d if h is d.homology else FixedPointData(d.n, d.points, h))
+    for d in (d1, d2):
+        _require_valid(d)
         if not d.points:
             raise InvalidData([Violation(
                 "EmptyFixedPointSet", None,
@@ -278,17 +278,16 @@ def kustarev_sum(
         b3=h1.b3 + h2.b3,
         torsion_free=h1.torsion_free and h2.torsion_free,
     )
-    kinds = ("S^6" if is_sphere_summand(d1, h1) else "generic",
-             "S^6" if is_sphere_summand(d2, h2) else "generic")
+    kinds = tuple("S^6" if is_sphere_summand(d) else "generic" for d in (d1, d2))
     labels = {"construction": _KUSTAREV_SUM, "summands": ",".join(kinds)}
     data = replace(disjoint_union(d1, d2), homology=homology, labels=labels)
-    diffeotype = _diffeotype(data, homology)   # valid by the composition formulas
+    diffeotype = _diffeotype(data)   # valid by the composition formulas
     report = SumReport(
         n=d1.n, k=1, exists=True, unique=adm.unique,
         b2=homology.b2, b3=homology.b3, euler=len(data.points),
         summands=kinds, diffeotype=diffeotype,
     )
-    return KustarevSum(data=data, homology=homology, report=report)
+    return KustarevSum(data=data, report=report)
 
 
 def equivariantly_formal(profile: HomologyProfile, integral: bool = False) -> bool:
@@ -304,10 +303,12 @@ def equivariantly_formal(profile: HomologyProfile, integral: bool = False) -> bo
     return profile.torsion_free if integral else True
 
 
-def recognize_diffeotype(data: FixedPointData, profile: HomologyProfile) -> str | None:
+def recognize_diffeotype(data: FixedPointData) -> str | None:
     """Name the diffeomorphism type when one of the recognition rules applies.
 
-    The data is validated first, and `equivariantly_formal(profile,
+    The rules read the profile the dataset carries, `data.homology`. The
+    data is validated first, so a profile that contradicts the fixed
+    points raises InvalidData, and `equivariantly_formal(data.homology,
     integral=True)` checks the profile, before any rule runs. Both rules
     name 6-manifolds, so data with n != 3 returns None. Then two rules, in
     this order; anything else returns None rather than guessing:
@@ -319,12 +320,12 @@ def recognize_diffeotype(data: FixedPointData, profile: HomologyProfile) -> str 
       this rule classifies, and only on a formal profile.
     """
     _require_valid(data)
-    return _diffeotype(data, profile)
+    return _diffeotype(data)
 
 
-def _diffeotype(data: FixedPointData, profile: HomologyProfile) -> str | None:
+def _diffeotype(data: FixedPointData) -> str | None:
     """The recognition rules of `recognize_diffeotype`, on valid data."""
-    formal = equivariantly_formal(profile, integral=True)
+    formal = equivariantly_formal(data.homology, integral=True)
     # both rules name 6-manifolds; the n check comes after the formality
     # check, so profile errors keep their precedence
     if data.n != 3:

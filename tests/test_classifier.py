@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from functools import cache
 from itertools import permutations, product
 
@@ -609,20 +610,20 @@ FORMAL_4PT = HomologyProfile(simply_connected=True, b2=1, b3=0, torsion_free=Tru
 
 def test_case_f_with_formal_profile_is_the_quadric():
     d = gen_family(jang_case("F", 1, 1))
-    assert recognize_diffeotype(d, FORMAL_4PT) == QUADRIC_Q3
+    assert recognize_diffeotype(replace(d, homology=FORMAL_4PT)) == QUADRIC_Q3
 
 
 def test_case_f_without_formality_is_not_recognized():
     d = gen_family(jang_case("F", 1, 1))
     not_formal = HomologyProfile(True, 2, 2, True)
-    assert recognize_diffeotype(d, not_formal) is None
+    assert recognize_diffeotype(replace(d, homology=not_formal)) is None
     with_torsion = HomologyProfile(True, 1, 0, False)
-    assert recognize_diffeotype(d, with_torsion) is None
+    assert recognize_diffeotype(replace(d, homology=with_torsion)) is None
 
 
 def test_case_a_is_not_recognized():
     d = gen_family(jang_case("A", 1, 2, 4))
-    assert recognize_diffeotype(d, FORMAL_4PT) is None
+    assert recognize_diffeotype(replace(d, homology=FORMAL_4PT)) is None
 
 
 def test_sum_provenance_is_recognized():
@@ -630,17 +631,17 @@ def test_sum_provenance_is_recognized():
                     ("m2.p1", (1, 1, -2)), ("m2.p2", (-1, -1, 2))],
                 labels={"construction": "kustarev-sum", "summands": "S^6,S^6"})
     profile = HomologyProfile(True, 1, 0, True)
-    assert recognize_diffeotype(d, profile) == S4_X_S2
-    bare = dataset(3, [(p.name, p.weights) for p in d.points])
-    assert recognize_diffeotype(bare, profile) is None
+    assert recognize_diffeotype(replace(d, homology=profile)) == S4_X_S2
+    bare = dataset(3, [(p.name, p.weights) for p in d.points], homology=profile)
+    assert recognize_diffeotype(bare) is None
 
 
 def test_recognition_needs_a_profile():
     with pytest.raises(MissingProfile):
-        recognize_diffeotype(gen_family(jang_case("F", 1, 1)), None)
+        recognize_diffeotype(gen_family(jang_case("F", 1, 1)))
 
 
 def test_recognition_accepts_two_point_data():
     # nothing is recognized for a lone sphere, but it must not error out
-    d = dataset(3, [("p1", (1, 2, -3)), ("p2", (-1, -2, 3))])
-    assert recognize_diffeotype(d, SPHERE_PROFILE) is None
+    d = dataset(3, [("p1", (1, 2, -3)), ("p2", (-1, -2, 3))], homology=SPHERE_PROFILE)
+    assert recognize_diffeotype(d) is None

@@ -136,9 +136,7 @@ _JUNK = [None, "x", 1.5, 0, [], {"n": 3}, sphere_points(1, 2)]
     pytest.param(lambda junk: kustarev_sum(junk, None, sphere_data(), None), id="kustarev_sum-1"),
     pytest.param(lambda junk: kustarev_sum(sphere_data(), SPHERE_PROFILE, junk, SPHERE_PROFILE),
                  id="kustarev_sum-2"),
-    pytest.param(lambda junk: recognize_diffeotype(junk, SPHERE_PROFILE),
-                 id="recognize_diffeotype"),
-    pytest.param(lambda junk: is_sphere_summand(junk, SPHERE_PROFILE), id="is_sphere_summand"),
+    recognize_diffeotype, is_sphere_summand,
 ], ids=lambda op: op.__name__)
 def test_an_argument_that_is_not_a_dataset_is_a_bad_argument(op, junk):
     with pytest.raises(BadArgument, match="FixedPointData"):
@@ -148,7 +146,7 @@ def test_an_argument_that_is_not_a_dataset_is_a_bad_argument(op, junk):
 @pytest.mark.parametrize("weight", ["a", 1.5, True, None], ids=repr)
 @pytest.mark.parametrize("op", [
     negate_all, raw_pairing_count,
-    pytest.param(lambda data: is_sphere_summand(data, SPHERE_PROFILE), id="is_sphere_summand"),
+    is_sphere_summand,
 ], ids=lambda op: op.__name__)
 def test_a_dataset_with_a_non_integer_weight_is_a_bad_argument(op, weight):
     # these operations compute on data they do not validate

@@ -22,6 +22,7 @@ from circle6 import (
     QUADRIC_Q3,
     S4_X_S2,
     SPHERE_PROFILE,
+    ToolkitError,
     WrongDimension,
     c1_cubed,
     chi_y_profile,
@@ -150,7 +151,7 @@ def test_sum_of_two_spheres():
     assert ks.report.diffeotype == S4_X_S2
     assert ks.data.labels["construction"] == "kustarev-sum"
     assert validate(ks.data) == []          # includes the euler consistency check
-    assert ks.data.homology == ks.homology
+    assert ks.homology is ks.data.homology     # one profile, on the dataset
 
 
 def test_sum_of_sphere_and_projective_space():
@@ -221,6 +222,26 @@ def test_sum_validates_summands_against_the_composed_profiles(validate_calls):
     assert len(validate_calls) == 1
 
 
+def _outcome(call):
+    try:
+        return call()
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("profile", [
+    SPHERE_PROFILE, HomologyProfile(True, 1, 0, True), HomologyProfile(False, 0, 0, True),
+    HomologyProfile(True, 0, 0, False), HomologyProfile(1, 0, 0, True), "x",
+], ids=repr)
+def test_a_given_profile_is_the_summand_with_that_profile(profile):
+    left = standard_sphere(1, 2)
+    right = dataset(3, [("p", (1, 2, -3)), ("q", (-1, -2, 3))])
+    assert (_outcome(lambda: kustarev_sum(left, None, right, profile))
+            == _outcome(lambda: kustarev_sum(left, None, replace(right, homology=profile), None)))
+    assert (_outcome(lambda: kustarev_sum(right, profile, left, None))
+            == _outcome(lambda: kustarev_sum(replace(right, homology=profile), None, left, None)))
+
+
 def test_torsion_flag_is_conjunction():
     torsion = HomologyProfile(True, 0, 0, False)
     sphere_like = dataset(3, [("p1", (1, 2, -3)), ("p2", (-1, -2, 3))])
@@ -231,18 +252,20 @@ def test_torsion_flag_is_conjunction():
 
 
 def test_is_sphere_summand():
-    assert is_sphere_summand(standard_sphere(3, 7), SPHERE_PROFILE)
-    reordered = dataset(3, [("x", (-4, 1, 3)), ("y", (4, -1, -3))])
-    assert is_sphere_summand(reordered, SPHERE_PROFILE)
-    assert not is_sphere_summand(gen_family(jang_case("F", 1, 1)),
-                                 HomologyProfile(True, 1, 0, True))
-    assert not is_sphere_summand(standard_sphere(1, 1), None)
-    three = dataset(3, [("x", (1, 2, -3)), ("y", (-1, -2, 3)), ("z", (1, 1, -2))])
-    assert not is_sphere_summand(three, SPHERE_PROFILE)
+    assert is_sphere_summand(standard_sphere(3, 7))
+    reordered = dataset(3, [("x", (-4, 1, 3)), ("y", (4, -1, -3))], homology=SPHERE_PROFILE)
+    assert is_sphere_summand(reordered)
+    assert not is_sphere_summand(replace(gen_family(jang_case("F", 1, 1)),
+                                         homology=HomologyProfile(True, 1, 0, True)))
+    assert not is_sphere_summand(replace(standard_sphere(1, 1), homology=None))
+    three = dataset(3, [("x", (1, 2, -3)), ("y", (-1, -2, 3)), ("z", (1, 1, -2))],
+                    homology=SPHERE_PROFILE)
+    assert not is_sphere_summand(three)
 
 
 def test_a_two_point_n2_action_is_not_a_sphere_summand():
-    assert not is_sphere_summand(dataset(2, [("x", (1, -1)), ("y", (-1, 1))]), SPHERE_PROFILE)
+    assert not is_sphere_summand(dataset(2, [("x", (1, -1)), ("y", (-1, 1))],
+                                         homology=SPHERE_PROFILE))
 
 
 # valid two-point summands with n = 7, where 2n - 1 = 13 = 5 mod 8 admits the
@@ -262,14 +285,14 @@ def test_a_sum_of_zero_sum_n7_summands_is_not_s4_x_s2():
     ks = kustarev_sum(zero_sum, None, negate_all(zero_sum), None)
     assert ks.report.summands == ("generic", "generic")
     assert ks.report.diffeotype is None
-    assert recognize_diffeotype(ks.data, ks.homology) is None
+    assert recognize_diffeotype(ks.data) is None
 
 
 def test_recognition_of_four_point_n2_data_is_none():
     d = dataset(2, [("a", (1, -1)), ("b", (-1, 1)), ("c", (2, -2)), ("d", (-2, 2))])
-    assert recognize_diffeotype(d, HomologyProfile(True, 1, 0, True)) is None
+    assert recognize_diffeotype(replace(d, homology=HomologyProfile(True, 1, 0, True))) is None
     with pytest.raises(MissingProfile):     # profile errors come first
-        recognize_diffeotype(d, None)
+        recognize_diffeotype(d)
 
 
 def test_iterated_sums_keep_names_unique():
@@ -307,11 +330,27 @@ def test_recognition_classifies_only_on_a_formal_profile(monkeypatch):
     monkeypatch.setitem(recognize_diffeotype.__globals__, "_classify", counting_classify)
     d = gen_family(jang_case("F", 1, 1))
     for not_formal in (HomologyProfile(True, 2, 2, True), HomologyProfile(True, 1, 0, False)):
-        assert recognize_diffeotype(d, not_formal) is None
+        assert recognize_diffeotype(replace(d, homology=not_formal)) is None
     assert calls == []
-    assert recognize_diffeotype(d, HomologyProfile(True, 1, 0, True)) == QUADRIC_Q3
-    assert calls == [d]
+    formal = replace(d, homology=HomologyProfile(True, 1, 0, True))
+    assert recognize_diffeotype(formal) == QUADRIC_Q3
+    assert calls == [formal]
 
+
+
+@pytest.mark.parametrize("data, euler_12_or_16, name", [
+    pytest.param(gen_family(jang_case("F", 1, 1)), HomologyProfile(True, 5, 0, True),
+                 QUADRIC_Q3, id="case F"),
+    pytest.param(kustarev_sum(standard_sphere(1, 2), None, standard_sphere(2, 3), None).data,
+                 HomologyProfile(True, 7, 0, True), S4_X_S2, id="two-sphere sum"),
+])
+def test_recognition_refuses_a_profile_that_contradicts_the_points(data, euler_12_or_16, name):
+    # the rules read the profile that validation checks, so a profile whose
+    # Euler characteristic is not the 4 fixed points names nothing
+    with pytest.raises(InvalidData) as err:
+        recognize_diffeotype(replace(data, homology=euler_12_or_16))
+    assert [v.rule for v in err.value.violations] == ["EulerMismatch"]
+    assert recognize_diffeotype(replace(data, homology=HomologyProfile(True, 1, 0, True))) == name
 
 
 def test_recognition_validates_the_data_first():
@@ -322,7 +361,7 @@ def test_recognition_validates_the_data_first():
     for d in (bad, replace(bad, labels=labels)):
         for profile in (HomologyProfile(True, 1, 0, True), HomologyProfile(True, 2, 2, True)):
             with pytest.raises(InvalidData):
-                recognize_diffeotype(d, profile)
+                recognize_diffeotype(replace(d, homology=profile))
 
 
 # ---- gluing identity ---------------------------------------------------------

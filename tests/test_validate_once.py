@@ -34,8 +34,8 @@ def test_sum_of_two_spheres_validates_each_summand_once(validate_calls):
 
 def test_recognition_validates_once(validate_calls):
     # the case-F rule classifies data that recognition has already validated
-    member = gen_family(jang_case("F", 1, 1))
-    assert recognize_diffeotype(member, HomologyProfile(True, 1, 0, True)) == QUADRIC_Q3
+    member = replace(gen_family(jang_case("F", 1, 1)), homology=HomologyProfile(True, 1, 0, True))
+    assert recognize_diffeotype(member) == QUADRIC_Q3
     assert validate_calls == [member]
 
 
