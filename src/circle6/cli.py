@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from fractions import Fraction
@@ -161,7 +160,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = core._json_text(payload)
     if args.out:
         core._write_text(args.out, text)
     elif not args.quiet:

@@ -184,7 +184,7 @@ def _require_dataset(data) -> None:
         raise BadArgument(f"labels must be a mapping, got {data.labels!r}")
     for k, v in data.labels.items():
         if not (isinstance(k, str) and isinstance(v, str)):
-            raise BadArgument(f"labels must map strings to strings, got {data.labels!r}")
+            raise BadArgument(f"labels must map strings to strings, got {_shown(data.labels)}")
 
 
 def _require_integer_weights(data) -> None:
@@ -309,6 +309,16 @@ def document(data: FixedPointData) -> dict:
     return doc
 
 
+def _json_text(doc) -> str:
+    """The JSON text of a document: sorted keys, indent 2, a trailing
+    newline. BadArgument when it holds an integer past Python's int/str
+    digit limit (`sys.set_int_max_str_digits`)."""
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    except ValueError:
+        raise BadArgument("an integer is too long to write as JSON") from None
+
+
 def _write_text(path: str | Path, text: str) -> None:
     """Write UTF-8 text to a file; BadArgument when the path cannot be written."""
     try:
@@ -329,14 +339,11 @@ def save(data: FixedPointData, target: str | PathLike | IO[str]) -> None:
     """Write the dataset document as UTF-8 JSON (deterministic key order).
 
     The target is a path (`str` or `os.PathLike`) or a stream with a
-    `write` method. Raises BadArgument for any other target, before
-    anything is opened, and when a target path cannot be written.
+    `write` method. Raises BadArgument for any other target or an
+    integer past the int/str digit limit, before anything is opened, and
+    when a target path cannot be written.
     """
-    doc = document(data)   # before the try: BadArgument is a ValueError
-    try:
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    except ValueError:   # past the int/str digit limit
-        raise BadArgument("an integer of the dataset is too long to write as JSON") from None
+    text = _json_text(document(data))
     if hasattr(target, "write"):
         target.write(text)
     else:

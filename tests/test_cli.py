@@ -102,6 +102,19 @@ def test_localize_past_the_digit_limit_is_an_error_payload(tmp_path, capsys, dig
     assert payload["error"] == "BadArgument"
 
 
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "--out"])
+def test_a_payload_integer_past_the_digit_limit_is_a_bad_argument(tmp_path, capsys, digit_limit, out):
+    # B(a, b) carries the weight a + 2b, one digit longer than a and b
+    big = "9" * digit_limit
+    target = tmp_path / "b.json"
+    argv = ["generate", "B", big, big] + (["--out", str(target)] if out else [])
+    assert cli.run(argv) == 1
+    text = target.read_text() if out else capsys.readouterr().out
+    payload = json.loads(text)
+    assert payload["error"] == "BadArgument"
+    assert "too long" in payload["message"]
+
+
 def test_validate_reports_an_euler_number_past_the_digit_limit(tmp_path, capsys, digit_limit):
     # b2 fits the limit, 2 + 2*b2 - b3 has one digit more
     f = _write_sphere(tmp_path / "s6.json")
@@ -305,6 +318,24 @@ def test_sweep_requires_matching_param_flags(capsys):
     code, payload = _run_json(capsys, ["sweep", "--case", "F", "--a", "1..2"])
     assert code == 1
     assert "needs --b" in payload["message"]
+
+
+def test_sweep_refuses_a_flag_its_case_does_not_read(capsys):
+    code, payload = _run_json(capsys, ["sweep", "--case", "C", "--a", "1", "--b", "1"])
+    assert code == 1
+    assert payload == {"error": "ParseError", "message": "unused: --b"}
+
+
+@pytest.mark.parametrize("argv, complaint", [
+    (["sweep", "--case", "F", "--a", "x", "--b", "1"], "expected an integer or lo..hi range"),
+    (["sweep", "--case", "F", "--a", "1", "--b", "1", "--assert", "foo=1"], "expected NAME=VALUE"),
+    (["generate", "Z", "1"], "unknown case tag"),
+], ids=" ".join)
+def test_a_malformed_value_is_a_usage_error(argv, complaint, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""      # usage errors go to stderr
+    assert complaint in captured.err
 
 
 def test_unknown_flag_is_a_usage_error(tmp_path, capsys):
