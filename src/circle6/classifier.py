@@ -59,7 +59,7 @@ from operator import itemgetter
 from typing import Callable, Mapping
 
 from .core import FixedPointData, _is_int, _require_valid, dataset
-from .errors import BadArgument, BadParams, WrongDimension, WrongPointCount
+from .errors import BadArgument, BadParams, WrongDimension, WrongPointCount, _shown
 from .localization import _integer_pass
 
 
@@ -159,7 +159,7 @@ def gen_family(case: JangCase) -> FixedPointData:
     if not all(map(_is_int, case.params)):
         raise BadParams(f"parameters must be integers, got {case.params!r}")
     if not _admissible(case.tag, positive, case.params):
-        raise BadParams(f"parameters {case.params} violate the constraints of case "
+        raise BadParams(f"parameters {_shown(case.params, str)} violate the constraints of case "
                         f"{case.tag.value}")
     rows = fn(*case.params)
     return dataset(3, ((f"p{i + 1}", ws) for i, ws in enumerate(rows)))
@@ -349,7 +349,7 @@ def classify(data: FixedPointData) -> ClassificationResult:
 def _classify(data: FixedPointData) -> ClassificationResult:
     """`classify` on valid data."""
     if data.n != 3:
-        raise WrongDimension(f"classification needs n = 3, got n = {data.n}")
+        raise WrongDimension(f"classification needs n = 3, got n = {_shown(data.n)}")
     if len(data.points) != 4:
         raise WrongPointCount(f"classification needs exactly 4 fixed points, "
                               f"got {len(data.points)}")

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .core import FixedPointData, _json_fields, _require_valid
-from .errors import NonIntegralChernNumber, WrongDimension
+from .errors import NonIntegralChernNumber, WrongDimension, _shown
 
 
 def c1_cubed(data: FixedPointData) -> Fraction:
@@ -48,7 +48,7 @@ def _localize(data: FixedPointData) -> tuple[Fraction, list[int]]:
     """Validate once, insist on n = 3, and run the integer pass."""
     _require_valid(data)
     if data.n != 3:
-        raise WrongDimension(f"c_1^3 is defined for n = 3, got n = {data.n}")
+        raise WrongDimension(f"c_1^3 is defined for n = 3, got n = {_shown(data.n)}")
     return _integer_pass(data.weight_rows(), 3)
 
 

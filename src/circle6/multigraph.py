@@ -47,7 +47,7 @@ from operator import attrgetter, itemgetter, mul, sub
 from typing import NamedTuple
 
 from .core import FixedPointData, _is_int, _require_integer_weights, _require_valid
-from .errors import BadArgument, BadWeights, CapExceeded, UnpairableWeights
+from .errors import BadArgument, BadWeights, CapExceeded, UnpairableWeights, _shown
 
 #: Abort threshold for pairing enumeration (verdicts must be exact, so the
 #: enumerator refuses to sample when there are too many matchings).
@@ -268,7 +268,7 @@ def build_multigraphs(data: FixedPointData, cap: int = DEFAULT_MATCHING_CAP) -> 
     nonnegative int raises BadArgument.
     """
     if not _is_int(cap) or cap < 0:
-        raise BadArgument(f"cap must be a nonnegative integer, got {cap!r}")
+        raise BadArgument(f"cap must be a nonnegative integer, got {_shown(cap)}")
     _require_valid(data)
     magnitudes = _magnitudes(data)
     # every magnitude's number of distinct pairings, before any counted one

@@ -44,7 +44,7 @@ from .core import (FixedPoint, FixedPointData, HomologyProfile, SPHERE_PROFILE,
                    _require_integer_weights, _require_valid, disjoint_union)
 from .classifier import CaseTag, _classify
 from .errors import (BadArgument, BadDimensions, InvalidData, MissingProfile,
-                     NotAdmissible, NotSimplyConnected, WrongDimension)
+                     NotAdmissible, NotSimplyConnected, WrongDimension, _shown)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -85,9 +85,9 @@ class DimensionPair:
 
     def __post_init__(self):
         if not (_is_int(self.n) and _is_int(self.k)):
-            raise BadDimensions(f"n, k must be integers, got ({self.n!r}, {self.k!r})")
+            raise BadDimensions(f"n, k must be integers, got ({_shown(self.n)}, {_shown(self.k)})")
         if self.k <= 0 or self.n <= 0 or self.k >= 2 * self.n:
-            raise BadDimensions(f"need 0 < k < 2n, got n={self.n}, k={self.k}")
+            raise BadDimensions(f"need 0 < k < 2n, got n={_shown(self.n)}, k={_shown(self.k)}")
 
     @property
     def slice_dim(self) -> int:
@@ -146,7 +146,7 @@ def psi_flip(normal_class: Z2Class) -> Z2Class:
 
 def _check_sphere_weights(a, b) -> None:
     if not (_is_int(a) and _is_int(b) and a >= 1 and b >= 1):
-        raise BadArgument(f"sphere action weights must be positive integers, got ({a!r}, {b!r})")
+        raise BadArgument(f"sphere action weights must be positive integers, got ({_shown(a)}, {_shown(b)})")
 
 
 def equivariant_normal_framing_class(a: int, b: int) -> Z2Class:

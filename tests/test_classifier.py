@@ -223,6 +223,8 @@ def test_all_positive_data_matches_nothing():
     d = dataset(3, [("p1", (1, 1, 1)), ("p2", (2, 2, 2)),
                     ("p3", (3, 3, 3)), ("p4", (4, 4, 4))])
     assert classify(d).matches == ()
+    assert not classify(d)        # a result is true exactly when something matched
+    assert classify(gen_family(jang_case("F", 1, 1)))
 
 
 def test_reversed_family_is_found_with_the_flag_set():

@@ -18,7 +18,10 @@ from hypothesis import strategies as st
 import circle6
 from circle6 import (
     BadArgument,
+    BadDimensions,
+    BadParams,
     CaseTag,
+    DimensionPair,
     FixedPoint,
     FixedPointData,
     HomologyProfile,
@@ -28,6 +31,7 @@ from circle6 import (
     ParseError,
     SPHERE_PROFILE,
     ValidationError,
+    WrongDimension,
     build_multigraphs,
     c1_cubed,
     chern_report,
@@ -178,6 +182,7 @@ _POOL = [None, "x", 1.5, True, -1, 0, [], (1,), standard_sphere(1, 2),
          gen_family(jang_case("F", 1, 1)), JangCase("A", (1, 2, 3)),
          JangCase(CaseTag.A_CP3, None),
          # datasets whose fields have the wrong shape
+         FixedPointData(3, list(standard_sphere(1, 2).points)),
          FixedPointData(3, (FixedPoint("a", 7),)), FixedPointData(3, ((1, 2),)),
          FixedPointData(3, standard_sphere(1, 2).points, homology="x"),
          FixedPointData(3, standard_sphere(1, 2).points, labels=None)] + _UNSAVABLE
@@ -441,6 +446,24 @@ def test_a_non_integral_chern_number_past_the_digit_limit_keeps_its_exact_value(
         chern_report(data)
     assert err.value.value == c1_cubed(data) == Fraction(2 * sum(p) ** 3, p[0] * p[1] * p[2])
     assert str(err.value) == f"c_1^3 localization sum is not an integer: {STAND_IN}"
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda big: classify(dataset(big, [])), WrongDimension, id="classify"),
+    pytest.param(lambda big: chern_report(dataset(big, [])), WrongDimension, id="chern_report"),
+    pytest.param(lambda big: gen_family(jang_case("A", -big, 1, 2)), BadParams, id="gen_family"),
+    pytest.param(lambda big: validate(dataset(3, [], labels={"k": big})), BadArgument,
+                 id="validate-labels"),
+    pytest.param(lambda big: standard_sphere(-big, 1), BadArgument, id="standard_sphere"),
+    pytest.param(lambda big: DimensionPair(big, -1), BadDimensions, id="DimensionPair-range"),
+    pytest.param(lambda big: DimensionPair(big, 1.5), BadDimensions, id="DimensionPair-type"),
+    pytest.param(lambda big: build_multigraphs(sphere_data(), cap=-big), BadArgument,
+                 id="build_multigraphs-cap"),
+])
+def test_argument_messages_do_not_print_integers_past_the_digit_limit(digit_limit, call, error):
+    with pytest.raises(error) as err:
+        call(10 ** digit_limit)
+    assert STAND_IN in str(err.value)
 
 
 def test_messages_within_the_digit_limit_are_unchanged():

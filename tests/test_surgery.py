@@ -369,6 +369,7 @@ def test_recognition_validates_the_data_first():
 def test_gluing_identity_holds():
     check = verify_framing_reversal_identity(samples=1000, tolerance=1e-9, seed=7)
     assert check.passed
+    assert check                  # a check is true exactly when it passed
     assert check.worst_deviation < 1e-12
 
 
@@ -396,6 +397,7 @@ def test_mutated_collar_map_fails():
         samples=400, tolerance=1e-9, seed=5,
         collar_map=stretched, collar_map_inverse=stretched_inverse)
     assert not check.passed
+    assert not check
     assert check.worst_deviation > 1e-3
 
 
