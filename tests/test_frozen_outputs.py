@@ -6,7 +6,9 @@ spaces) and hashed in chunks of CHUNK inputs; the layer digest is the
 sha256 of the chunk digests. A change that alters an output on purpose
 updates the digests in the same commit and names the inputs whose output
 changed: on a mismatch the test reports the first chunk whose digest
-differs and lists its inputs with their outputs now.
+differs and lists its inputs with their outputs now. A layer that also
+freezes a short digest of each output (the CLI) lists only the inputs
+whose digest differs, with their whole outputs now.
 """
 
 from __future__ import annotations
@@ -53,11 +55,22 @@ def _outcome(fn, arg):
         return [type(exc).__name__, str(exc)]
 
 
-def _check(layer, inputs, fn, frozen, frozen_chunks):
+def _short(output: str) -> str:
+    return hashlib.sha256(output.encode()).hexdigest()[:6]
+
+
+def _check(layer, inputs, fn, frozen, frozen_chunks, frozen_each=None):
     outputs = [_canonical(_outcome(fn, arg)) for arg in inputs]
     chunks = [hashlib.sha256("\n".join(outputs[i:i + CHUNK]).encode()).hexdigest()
               for i in range(0, len(outputs), CHUNK)]
     digest = hashlib.sha256("".join(chunks).encode()).hexdigest()
+    if digest != frozen and frozen_each is not None:
+        changed = [i for i, out in enumerate(outputs)
+                   if i >= len(frozen_each) or _short(out) != frozen_each[i]]
+        if changed:
+            listing = "\n".join(f"  {i}: {_canonical(inputs[i])} -> {outputs[i]}" for i in changed)
+            raise AssertionError(f"{layer}: digest {digest} != frozen {frozen}; "
+                                 f"{len(changed)} of {len(inputs)} inputs changed, now:\n{listing}")
     if digest != frozen:
         first = next((i for i, (now, was) in enumerate(zip(chunks, frozen_chunks))
                       if not now.startswith(was)), min(len(chunks), len(frozen_chunks)))
@@ -339,6 +352,21 @@ _CLI_CORPUS = [
 ]
 
 
+# sha256 prefix of each argv's outcome, in _CLI_CORPUS order
+_CLI_EACH = [
+    "c8c4a1", "e1612f", "57a69a", "594203", "cfcb61", "dd3c8d", "704032", "02a2a0", "ebe977", "f0506a",
+    "b6ff30", "b6ff30", "b6ff30", "01a12e", "1ce591", "85c424", "d89b57", "4de71e", "dacd49", "db9b72",
+    "b44eda", "9a4c33", "f0506a", "fa567e", "b182db", "4621d1", "b182db", "1e8877", "9b18bd", "22cbe7",
+    "1e8877", "31d4e8", "74cb15", "4a567d", "cd4000", "58e4a8", "58e4a8", "555185", "4de71e", "dacd49",
+    "db9b72", "b44eda", "93e079", "0fbe38", "93e079", "960d1a", "383e79", "5fa13d", "f206b1", "a28d3a",
+    "9d0207", "58e4a8", "0128f8", "4de71e", "b44eda", "fa95e3", "da8ec3", "c27f1a", "75cb38", "2dd814",
+    "cd283c", "cd283c", "58e4a8", "5affbc", "db9b72", "b44eda", "441aa8", "b7f582", "b6ff30", "1e8877",
+    "8375bf", "24da13", "deff05", "809207", "3085cd", "5c9163", "58e4a8", "58e4a8", "809207", "3085cd",
+    "4de71e", "b44eda", "42db92", "e3e763", "597a86", "df5898", "613760", "c6a6ed", "764c4d", "d6e81f",
+    "b08bcc", "f72181", "b75fad", "248f2e",
+]
+
+
 def test_cli_outputs_are_frozen(tmp_path, capsys):
     """Exit code, stdout and the text of any --out or --dot file of each
     command line, with the input directory's path replaced by "{d}"."""
@@ -354,4 +382,5 @@ def test_cli_outputs_are_frozen(tmp_path, capsys):
         return [code, capsys.readouterr().out, texts]
 
     _check("CLI", _CLI_CORPUS, lambda line: json.loads(_canonical(outcome(line)).replace(d, "{d}")),
-           "45344650d4cbcc2ae527163f192842e5d386ce10574fe936587caa71ece41c69", ["d9ad5d43992a"])
+           "45344650d4cbcc2ae527163f192842e5d386ce10574fe936587caa71ece41c69", ["d9ad5d43992a"],
+           _CLI_EACH)
