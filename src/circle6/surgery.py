@@ -306,12 +306,11 @@ def equivariantly_formal(profile: HomologyProfile, integral: bool = False) -> bo
 def recognize_diffeotype(data: FixedPointData) -> str | None:
     """Name the diffeomorphism type when one of the recognition rules applies.
 
-    The rules read the profile the dataset carries, `data.homology`. The
-    data is validated first, so a profile that contradicts the fixed
-    points raises InvalidData, and `equivariantly_formal(data.homology,
-    integral=True)` checks the profile, before any rule runs. Both rules
-    name 6-manifolds, so data with n != 3 returns None. Then two rules, in
-    this order; anything else returns None rather than guessing:
+    The data is validated first, with the profile it carries, which is
+    the one the rules read; then `equivariantly_formal(data.homology,
+    integral=True)` checks it. Both rules name 6-manifolds, so data with
+    n != 3 returns None. Then two rules, in this order; anything else
+    returns None rather than guessing:
 
     * data that `kustarev_sum` labelled as the sum of two standard 6-spheres
       is S^4 x S^2;
