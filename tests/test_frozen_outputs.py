@@ -64,14 +64,13 @@ def _check(layer, inputs, fn, frozen, frozen_chunks, frozen_each=None):
     chunks = [hashlib.sha256("\n".join(outputs[i:i + CHUNK]).encode()).hexdigest()
               for i in range(0, len(outputs), CHUNK)]
     digest = hashlib.sha256("".join(chunks).encode()).hexdigest()
-    if digest != frozen and frozen_each is not None:
-        changed = [i for i, out in enumerate(outputs)
-                   if i >= len(frozen_each) or _short(out) != frozen_each[i]]
+    if digest != frozen:
+        changed = [i for i, out in enumerate(outputs) if frozen_each is not None
+                   and (i >= len(frozen_each) or _short(out) != frozen_each[i])]
         if changed:
             listing = "\n".join(f"  {i}: {_canonical(inputs[i])} -> {outputs[i]}" for i in changed)
             raise AssertionError(f"{layer}: digest {digest} != frozen {frozen}; "
                                  f"{len(changed)} of {len(inputs)} inputs changed, now:\n{listing}")
-    if digest != frozen:
         first = next((i for i, (now, was) in enumerate(zip(chunks, frozen_chunks))
                       if not now.startswith(was)), min(len(chunks), len(frozen_chunks)))
         lo = first * CHUNK
