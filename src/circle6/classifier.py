@@ -94,11 +94,11 @@ def jang_case(tag: CaseTag | str, *params: int) -> JangCase:
 def _coerce_tag(tag: CaseTag | str) -> CaseTag:
     if isinstance(tag, CaseTag):
         return tag
-    text = str(tag).strip()
+    text = _shown(tag, str).strip()     # the stand-in names no tag
     for t in CaseTag:
         if text.upper() == t.letter or text == t.value:
             return t
-    raise BadParams(f"unknown case tag {tag!r}; expected A..F or one of "
+    raise BadParams(f"unknown case tag {_shown(tag)}; expected A..F or one of "
                     f"{[t.value for t in CaseTag]}")
 
 
@@ -149,15 +149,15 @@ def gen_family(case: JangCase) -> FixedPointData:
     in case A).
     """
     if not isinstance(case, JangCase):
-        raise BadArgument(f"expected a JangCase, got {case!r}")
+        raise BadArgument(f"expected a JangCase, got {_shown(case)}")
     if not isinstance(case.tag, CaseTag) or not isinstance(case.params, tuple):
-        raise BadParams(f"expected a CaseTag and a tuple of parameters, got {case!r}")
+        raise BadParams(f"expected a CaseTag and a tuple of parameters, got {_shown(case)}")
     names, fn, positive = _FAMILIES[case.tag]
     if len(case.params) != len(names):
         raise BadParams(f"case {case.tag.value} takes parameters {names}, "
                         f"got {len(case.params)} value(s)")
     if not all(map(_is_int, case.params)):
-        raise BadParams(f"parameters must be integers, got {case.params!r}")
+        raise BadParams(f"parameters must be integers, got {_shown(case.params)}")
     if not _admissible(case.tag, positive, case.params):
         raise BadParams(f"parameters {_shown(case.params, str)} violate the constraints of case "
                         f"{case.tag.value}")

@@ -132,7 +132,8 @@ def disjoint_union(d1: FixedPointData, d2: FixedPointData) -> FixedPointData:
     _require_dataset(d1)
     _require_dataset(d2)
     if d1.n != d2.n:
-        raise BadArgument(f"cannot union datasets with n={d1.n} and n={d2.n}")
+        raise BadArgument(f"cannot union datasets with n={_shown(d1.n, str)} and "
+                          f"n={_shown(d2.n, str)}")
     pts = tuple(FixedPoint(_UNION_PREFIXES[0] + p.name, p.weights) for p in d1.points)
     pts += tuple(FixedPoint(_UNION_PREFIXES[1] + p.name, p.weights) for p in d2.points)
     return FixedPointData(d1.n, pts)
@@ -175,13 +176,15 @@ def _require_dataset(data) -> None:
         raise BadArgument(f"points must be a tuple, got {type(data.points).__name__}")
     for p in data.points:
         if not isinstance(p, FixedPoint) or not isinstance(p.weights, tuple):
-            raise BadArgument(f"points must be FixedPoint values with tuple weights, got {p!r}")
+            raise BadArgument(f"points must be FixedPoint values with tuple weights, "
+                              f"got {_shown(p)}")
     h = data.homology
     if h is not None and not (isinstance(h, HomologyProfile) and isinstance(h.simply_connected, bool)
                               and isinstance(h.torsion_free, bool)):
-        raise BadArgument(f"homology must be None or a HomologyProfile with bool flags, got {h!r}")
+        raise BadArgument(f"homology must be None or a HomologyProfile with bool flags, "
+                          f"got {_shown(h)}")
     if not isinstance(data.labels, Mapping):
-        raise BadArgument(f"labels must be a mapping, got {data.labels!r}")
+        raise BadArgument(f"labels must be a mapping, got {_shown(data.labels)}")
     for k, v in data.labels.items():
         if not (isinstance(k, str) and isinstance(v, str)):
             raise BadArgument(f"labels must map strings to strings, got {_shown(data.labels)}")
@@ -194,7 +197,7 @@ def _require_integer_weights(data) -> None:
     _require_dataset(data)
     bad = [w for p in data.points for w in p.weights if not _is_int(w)]
     if bad:
-        raise BadArgument(f"weights must be integers, got {bad!r}")
+        raise BadArgument(f"weights must be integers, got {_shown(bad)}")
 
 
 def validate(data: FixedPointData) -> list[Violation]:
@@ -259,7 +262,7 @@ def _require_valid(data: FixedPointData) -> None:
 def format_rational(x: Fraction | int) -> str:
     """Render an exact rational as "p/q" (integers as "p/1")."""
     if not isinstance(x, Rational):
-        raise BadArgument(f"expected an exact rational, got {x!r}")
+        raise BadArgument(f"expected an exact rational, got {_shown(x)}")
     f = Fraction(x)
     try:
         return f"{f.numerator}/{f.denominator}"
@@ -278,7 +281,7 @@ def _json_fields(result) -> dict:
 def parse_rational(text: str) -> Fraction:
     """Parse an integer or "p/q" literal. Float syntax is rejected on purpose."""
     if not isinstance(text, str):
-        raise BadArgument(f"expected a rational literal string, got {text!r}")
+        raise BadArgument(f"expected a rational literal string, got {_shown(text)}")
     s = text.strip()
     if "/" in s:
         num, _, den = s.partition("/")
@@ -331,7 +334,7 @@ def _require_path(path):
     """The path itself when it is a `str` or `os.PathLike`, else BadArgument
     (an int would name a file descriptor to `open`)."""
     if not isinstance(path, (str, PathLike)):
-        raise BadArgument(f"expected a path or a stream, got {path!r}")
+        raise BadArgument(f"expected a path or a stream, got {_shown(path)}")
     return path
 
 

@@ -15,21 +15,21 @@ those margins, in lexicographic order. A magnitude has exactly one
 distinct pairing iff it has one row or one column: with two of each, some
 table has cells (i, j) and (i', j'), i != i' and j != j', and moving them
 to (i, j') and (i', j) changes the edge multiset, even where points carry
-both signs. A forced magnitude is never walked: each cell takes the
-smaller margin, in one leading level of one choice. The graphs form the
-product of the other magnitudes' choices, ascending, the largest varying
-fastest. One breadth-first fold builds every graph, `make_graph`'s
-included. It keys each distinct (u, v, m) edge by its rank in sorted
-order and keeps each prefix of choices once, as its sorted int keys and
-a string labelling whose character per vertex is chr(least rank in its
-component); a link between two components relabels the larger by the smaller.
+both signs. Every magnitude is one level of choices, its distinct
+pairings; the graphs form the product of the levels, ascending, the
+largest varying fastest. One breadth-first fold builds every graph,
+`make_graph`'s included. It folds the levels of one choice into one
+leading level, keys each distinct (u, v, m) edge by its rank in sorted
+order and keeps each prefix of choices once, as its int keys and a string
+labelling whose character per vertex is chr(least rank in its component);
+a link between two components relabels the larger by the smaller.
 
-Refusal comes first. In ascending order, a forced magnitude counts 1;
-another is enumerated when some point carries both +m and -m (only then
-can two tables be one pairing), and has its tables counted otherwise
-(memoized, and only up to cap + 1). A magnitude with more than cap
-pairings is refused for itself; once the running product passes the cap,
-the data is refused overall. Only then are the counted magnitudes
+Refusal comes first, by one rule for every magnitude. In ascending
+order, a magnitude is enumerated when some point carries both +m and -m
+(only then can two tables be one pairing), and has its tables counted
+otherwise (memoized, and only up to cap + 1). A magnitude with more than
+cap pairings is refused for itself; once the running product passes the
+cap, the data is refused overall. Only then are the counted magnitudes
 enumerated. One row-fill generator serves both walks, and every walk
 keeps its own stack, so data with thousands of points or magnitudes
 cannot exhaust the interpreter's recursion limit.
@@ -41,7 +41,6 @@ import re
 import sys
 from collections import Counter
 from enum import Enum
-from itertools import accumulate
 from math import factorial, gcd, prod
 from operator import attrgetter, itemgetter, mul, sub
 from typing import NamedTuple
@@ -80,7 +79,7 @@ class Multigraph(NamedTuple):
         name is written bare when it is a plain DOT ID, else quoted; a name
         that is not a str is a BadArgument."""
         if not isinstance(name, str):
-            raise BadArgument(f"a DOT graph name must be a str, got {name!r}")
+            raise BadArgument(f"a DOT graph name must be a str, got {_shown(name)}")
         plain = _PLAIN_DOT_ID.fullmatch(name) and name.lower() not in _DOT_KEYWORDS
         lines = [f"graph {name if plain else _dot_id(name)} {{"]
         for v in sorted(self.vertices):
@@ -216,7 +215,6 @@ def _fills(take: int, cols: tuple[int, ...]):
     to right as full as they can, and the next way moves one unit from the
     rightmost column that can give one to the columns on its right."""
     n = len(cols)
-    room = [*accumulate(cols[::-1])][::-1] + [0]    # room[j] = sum(cols[j:])
     got = [0] * n
     j, left = 0, take
     while True:
@@ -225,11 +223,14 @@ def _fills(take: int, cols: tuple[int, ...]):
             left -= t
             j += 1
         yield tuple(got)
-        # find the column that gives, emptying the ones passed for the refill
+        # find the column that gives, emptying the ones passed for the
+        # refill; room is the sum of their column sums
+        room = 0
         for j in range(n - 2, -1, -1):
             left += got[j + 1]
+            room += cols[j + 1]
             got[j + 1] = 0
-            if got[j] and left < room[j + 1]:
+            if got[j] and left < room:
                 got[j] -= 1
                 left += 1
                 j += 1
@@ -252,7 +253,8 @@ def _magnitudes(data: FixedPointData) -> list[tuple[int, list, list]]:
         plus, minus = sum(pos.values()), sum(neg.values())
         if plus != minus:
             raise UnpairableWeights(
-                f"weight magnitude {m}: {plus} positive vs {minus} negative occurrences")
+                f"weight magnitude {_shown(m, str)}: {plus} positive vs {minus} "
+                f"negative occurrences")
         out.append((m, sorted(pos.items()), sorted(neg.items())))
     return out
 
@@ -265,26 +267,20 @@ def build_multigraphs(data: FixedPointData, cap: int = DEFAULT_MATCHING_CAP) -> 
     when there are more than `cap` distinct pairings; the verdict must be
     exact, so the enumerator never samples. An empty dataset has the
     single empty pairing, whose graph has no vertices. A cap that is not a
-    nonnegative int raises BadArgument.
+    nonnegative int raises BadArgument. One rule serves every magnitude,
+    whatever its shape: its distinct pairings are one level of `_graphs`.
     """
     if not _is_int(cap) or cap < 0:
         raise BadArgument(f"cap must be a nonnegative integer, got {_shown(cap)}")
     _require_valid(data)
     magnitudes = _magnitudes(data)
-    # every magnitude's number of distinct pairings, before any counted one
-    # is enumerated: a forced one (one row or one column) has one, its cells
-    # taking the smaller margins into the leading level of one choice; any
-    # other is a level of its own, enumerated here where some point carries
-    # both +m and -m (then two tables can be one pairing), else counted
-    single: list[tuple[str, str, int]] = []
+    # the count pass, before any counted magnitude is enumerated: one where
+    # some point carries both +m and -m (then two tables can be one
+    # pairing) is enumerated here, any other counted
     choices: dict[int, list[tuple]] = {}
     total = 1
     for m, rows, cols in magnitudes:
-        if len(rows) == 1 or len(cols) == 1:
-            single += [(p, q, m) if p <= q else (q, p, m)
-                       for p, r in rows for q, c in cols for _ in range(min(r, c))]
-            count = 1
-        elif {p for p, _ in rows} & {q for q, _ in cols}:
+        if {p for p, _ in rows} & {q for q, _ in cols}:
             choices[m] = _distinct_pairings(m, rows, cols, cap)
             count = len(choices[m])
         else:
@@ -296,9 +292,8 @@ def build_multigraphs(data: FixedPointData, cap: int = DEFAULT_MATCHING_CAP) -> 
             break
     if total > cap:     # also the empty pairing of a dataset with no weights
         raise CapExceeded(f"more than {cap} distinct pairings overall")
-    levels = [choices[m] if m in choices else _distinct_pairings(m, rows, cols, cap)
-              for m, rows, cols in magnitudes if len(rows) > 1 and len(cols) > 1]
-    return _graphs(data.names(), [[tuple(single)], *levels])
+    return _graphs(data.names(), [choices[m] if m in choices else _distinct_pairings(
+        m, rows, cols, cap) for m, rows, cols in magnitudes])
 
 
 def _graphs(vertices: tuple[str, ...], levels: list[list[tuple]]) -> list[Multigraph]:
@@ -306,12 +301,14 @@ def _graphs(vertices: tuple[str, ...], levels: list[list[tuple]]) -> list[Multig
     itertools.product order (last level fastest). A choice is a sequence
     of canonical (u, v, label) triples.
 
-    Each distinct triple is keyed by its rank in sorted order. The fold
-    keeps each prefix of choices once, as its sorted keys and a component
-    labelling: a string whose character r is chr(least vertex rank in the
-    component of rank r). What a level's choices make of a labelling is
-    cached by that labelling, and so are the components of a joined
-    labelling; one itemgetter over each graph's keys emits its edges.
+    Every level with one choice folds into one leading level, which leaves
+    the product order as it is. Each distinct triple is keyed by its rank
+    in sorted order. The fold keeps each prefix of choices once, as its
+    keys and a component labelling: a string whose character r is
+    chr(least vertex rank in the component of rank r). What a level's
+    choices make of a labelling is cached by that labelling, and so are
+    the components of a joined labelling; each graph's keys are sorted
+    once, and one itemgetter over them emits its edges.
     """
     names = sorted(vertices)
     if len(names) > sys.maxunicode + 1:     # one character per vertex rank
@@ -319,10 +316,11 @@ def _graphs(vertices: tuple[str, ...], levels: list[list[tuple]]) -> list[Multig
     rank = {v: r for r, v in enumerate(names)}
     triples = sorted({t for level in levels for choice in level for t in choice})
     key = {t: k for k, t in enumerate(triples)}
-    # each choice as its sorted keys and the distinct rank pairs it joins
-    *upper, bottom = [[(tuple(sorted(map(key.__getitem__, choice))), tuple(dict.fromkeys(
+    lead = [t for level in levels if len(level) == 1 for t in level[0]]
+    # each choice as its keys and the distinct rank pairs it joins
+    *upper, bottom = [[(tuple(map(key.__getitem__, choice)), tuple(dict.fromkeys(
         (rank[u], rank[v]) for u, v, _ in choice if u != v))) for choice in level]
-        for level in levels]
+        for level in [[lead], *(level for level in levels if len(level) > 1)]]
     prefixes = [((), "".join(map(chr, range(len(names)))))]
     for level in upper:
         steps: dict[str, list[str]] = {}
@@ -331,7 +329,7 @@ def _graphs(vertices: tuple[str, ...], levels: list[list[tuple]]) -> list[Multig
             after = steps.get(label)
             if after is None:
                 after = steps[label] = [_join(label, links) for _, links in level]
-            grown += [(tuple(sorted(keys + more)), j) for (more, _), j in zip(level, after)]
+            grown += [(keys + more, j) for (more, _), j in zip(level, after)]
         prefixes = grown
     # all graphs have equally many edges; itemgetter makes a tuple of two or more
     pick = itemgetter if len(prefixes[0][0] + bottom[0][0]) > 1 else (
@@ -416,11 +414,12 @@ def linear_action_isotropy(w1: int, w2: int, w3: int) -> Multigraph:
     """
     ws = (w1, w2, w3)
     if not all(_is_int(w) and w > 1 for w in ws):
-        raise BadWeights(f"isotropy weights must be integers > 1, got {ws}")
+        raise BadWeights(f"isotropy weights must be integers > 1, got {_shown(ws, str)}")
     for i in range(3):
         for j in range(i + 1, 3):
             if gcd(ws[i], ws[j]) != 1:
-                raise BadWeights(f"weights {ws[i]} and {ws[j]} are not coprime")
+                raise BadWeights(f"weights {_shown(ws[i], str)} and {_shown(ws[j], str)} "
+                                 f"are not coprime")
     pp, pm, mp, mm = _POLES
     edges = [
         (mp, pp, w1), (mm, pm, w1),   # S^4-pole pairs at each S^2 pole

@@ -33,6 +33,7 @@ tolerance and seed.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import inf
@@ -72,7 +73,7 @@ _SO_MOD_U = (
 def stable_pi_so_mod_u(q: int) -> HomotopyGroup:
     """Stable pi_q(SO(2n)/U(n)); independent of n for q < 2n - 1."""
     if not _is_int(q) or q < 0:
-        raise BadArgument(f"homotopy degree must be a nonnegative integer, got {q!r}")
+        raise BadArgument(f"homotopy degree must be a nonnegative integer, got {_shown(q)}")
     return _SO_MOD_U[q % 8]
 
 
@@ -104,7 +105,7 @@ class Admissibility:
 def kustarev_admissible(dim: DimensionPair) -> Admissibility:
     """Mod-8 gate for the fiber connect sum of almost complex T^k-actions."""
     if not isinstance(dim, DimensionPair):
-        raise BadArgument(f"expected a DimensionPair, got {dim!r}")
+        raise BadArgument(f"expected a DimensionPair, got {_shown(dim)}")
     m = dim.slice_dim
     exists = stable_pi_so_mod_u(m - 1) is HomotopyGroup.ZERO
     unique = exists and stable_pi_so_mod_u(m) is HomotopyGroup.ZERO
@@ -127,7 +128,7 @@ def rotation_loop_class(speeds: Iterable[int]) -> Z2Class:
     rotations at the given integer speeds: the parity of their sum."""
     ks = tuple(speeds) if isinstance(speeds, Iterable) else None
     if ks is None or not all(map(_is_int, ks)):
-        raise BadArgument(f"rotation speeds must be integers, got {speeds!r}")
+        raise BadArgument(f"rotation speeds must be integers, got {_shown(speeds)}")
     return sum(ks) % 2
 
 
@@ -140,7 +141,7 @@ def psi_flip(normal_class: Z2Class) -> Z2Class:
     versa, so the translation is the swap 0 <-> 1 (an involution).
     """
     if not _is_int(normal_class) or normal_class not in (0, 1):
-        raise BadArgument(f"a Z/2 framing class must be 0 or 1, got {normal_class!r}")
+        raise BadArgument(f"a Z/2 framing class must be 0 or 1, got {_shown(normal_class)}")
     return 1 - normal_class
 
 
@@ -254,14 +255,15 @@ def kustarev_sum(
         return kustarev_sum(d1 if h1 is None else replace(d1, homology=h1), None,
                             d2 if h2 is None else replace(d2, homology=h2), None)
     if d1.n != d2.n:
-        raise WrongDimension(f"summands must have equal n, got {d1.n} and {d2.n}")
+        raise WrongDimension(f"summands must have equal n, got {_shown(d1.n, str)} and "
+                             f"{_shown(d2.n, str)}")
     h1, h2 = d1.homology, d2.homology
     if h1 is None or h2 is None:
         raise MissingProfile("both summands need a homology profile")
     adm = kustarev_admissible(DimensionPair(d1.n, 1))
     if not adm.exists:
         raise NotAdmissible(
-            f"2n - k = {2 * d1.n - 1} is not 2, 4, 5, 6 mod 8; no invariant "
+            f"2n - k = {_shown(2 * d1.n - 1, str)} is not 2, 4, 5, 6 mod 8; no invariant "
             f"almost complex structure on the glue region")
     for d in (d1, d2):
         _require_valid(d)
@@ -297,7 +299,7 @@ def equivariantly_formal(profile: HomologyProfile, integral: bool = False) -> bo
     if profile is None:
         raise MissingProfile("formality needs a homology profile")
     if not isinstance(profile, HomologyProfile):
-        raise BadArgument(f"expected a HomologyProfile, got {profile!r}")
+        raise BadArgument(f"expected a HomologyProfile, got {_shown(profile)}")
     if not profile.simply_connected or profile.b3 != 0:
         return False
     return profile.torsion_free if integral else True
@@ -405,11 +407,13 @@ def verify_framing_reversal_identity(
     """
     # a NaN or infinite tolerance decides nothing
     if isinstance(tolerance, bool) or not isinstance(tolerance, Real) or not 0 < tolerance < inf:
-        raise BadArgument(f"tolerance must be positive and finite, got {tolerance!r}")
+        raise BadArgument(f"tolerance must be positive and finite, got {_shown(tolerance)}")
     if not _is_int(samples) or samples < 1:
-        raise BadArgument(f"need an integer number of samples >= 1, got {samples!r}")
+        raise BadArgument(f"need an integer number of samples >= 1, got {_shown(samples)}")
+    if samples > sys.maxsize:   # numpy refuses a longer array with a bare ValueError
+        raise BadArgument(f"need at most {sys.maxsize} samples, got {_shown(samples)}")
     if not _is_int(seed) or seed < 0:
-        raise BadArgument(f"seed must be a nonnegative integer, got {seed!r}")
+        raise BadArgument(f"seed must be a nonnegative integer, got {_shown(seed)}")
     h = collar_map if collar_map is not None else _twist
     h_inv = collar_map_inverse if collar_map_inverse is not None else _twist_inverse
     radial = alpha if alpha is not None else (lambda r: 1.0 / r)

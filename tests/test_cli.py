@@ -262,6 +262,13 @@ def test_verify_gluing(capsys):
     assert payload["samples"] == 200
 
 
+def test_verify_gluing_refuses_more_samples_than_an_array_holds(capsys):
+    code, payload = _run_json(capsys, ["verify-gluing", "--samples", "1" + "0" * 21])
+    assert code == 1
+    assert payload == {"error": "BadArgument", "message": f"need at most {sys.maxsize} "
+                       f"samples, got {10 ** 21}"}
+
+
 def test_sweep_curve_blowup_constancy(capsys):
     code, payload = _run_json(capsys, [
         "sweep", "--case", "F", "--a", "1..6", "--b", "1..6",

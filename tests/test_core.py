@@ -20,6 +20,7 @@ from circle6 import (
     BadArgument,
     BadDimensions,
     BadParams,
+    BadWeights,
     CaseTag,
     DimensionPair,
     FixedPoint,
@@ -28,8 +29,10 @@ from circle6 import (
     InvalidData,
     JangCase,
     NonIntegralChernNumber,
+    NotAdmissible,
     ParseError,
     SPHERE_PROFILE,
+    UnpairableWeights,
     ValidationError,
     WrongDimension,
     build_multigraphs,
@@ -41,21 +44,29 @@ from circle6 import (
     dataset,
     disjoint_union,
     document,
+    equivariantly_formal,
     exoticness_obstruction,
     format_rational,
     gen_family,
     is_sphere_summand,
     jang_case,
+    kustarev_admissible,
     kustarev_sum,
+    linear_action_isotropy,
     load,
+    make_graph,
     negate_all,
     parse_rational,
+    psi_flip,
     raw_pairing_count,
     recognize_diffeotype,
+    rotation_loop_class,
     save,
+    stable_pi_so_mod_u,
     standard_sphere,
     todd_genus,
     validate,
+    verify_framing_reversal_identity,
 )
 from conftest import sphere_data, sphere_points, too_many_digits_document
 
@@ -415,6 +426,11 @@ def test_format_rational_past_the_digit_limit_is_a_bad_argument(digit_limit):
         with pytest.raises(BadArgument, match="too long"):
             format_rational(x)
     assert format_rational(Fraction(1, 10 ** (digit_limit - 1))) == "1/1" + "0" * (digit_limit - 1)
+    # a str has no digit limit, so a string of digits is echoed whole
+    digits = "1" + "0" * digit_limit
+    with pytest.raises(BadArgument) as err:
+        format_rational(digits)
+    assert str(err.value) == f"expected an exact rational, got {digits!r}"
 
 
 def test_validate_messages_do_not_print_integers_past_the_digit_limit(digit_limit):
@@ -459,6 +475,47 @@ def test_a_non_integral_chern_number_past_the_digit_limit_keeps_its_exact_value(
     pytest.param(lambda big: DimensionPair(big, 1.5), BadDimensions, id="DimensionPair-type"),
     pytest.param(lambda big: build_multigraphs(sphere_data(), cap=-big), BadArgument,
                  id="build_multigraphs-cap"),
+    pytest.param(lambda big: stable_pi_so_mod_u(-big), BadArgument, id="stable_pi_so_mod_u"),
+    pytest.param(lambda big: psi_flip(big), BadArgument, id="psi_flip"),
+    pytest.param(lambda big: rotation_loop_class((Fraction(big, 3),)), BadArgument,
+                 id="rotation_loop_class-speeds"),
+    pytest.param(lambda big: rotation_loop_class(big), BadArgument, id="rotation_loop_class"),
+    pytest.param(lambda big: verify_framing_reversal_identity(samples=-big), BadArgument,
+                 id="verify_framing_reversal_identity-samples"),
+    pytest.param(lambda big: verify_framing_reversal_identity(seed=-big), BadArgument,
+                 id="verify_framing_reversal_identity-seed"),
+    pytest.param(lambda big: kustarev_sum(dataset(big, []), None, standard_sphere(1, 2), None),
+                 WrongDimension, id="kustarev_sum-n"),
+    pytest.param(lambda big: kustarev_sum(
+                     *[dataset(4 * big, [], homology=SPHERE_PROFILE), None] * 2), NotAdmissible,
+                 id="kustarev_sum-admissible"),
+    pytest.param(lambda big: kustarev_admissible(big), BadArgument, id="kustarev_admissible"),
+    pytest.param(lambda big: equivariantly_formal(big), BadArgument, id="equivariantly_formal"),
+    pytest.param(lambda big: linear_action_isotropy(big, big, 3), BadWeights,
+                 id="linear_action_isotropy"),
+    pytest.param(lambda big: make_graph(["a"], []).to_dot(big), BadArgument, id="to_dot"),
+    pytest.param(lambda big: disjoint_union(dataset(big, []), standard_sphere(1, 2)), BadArgument,
+                 id="disjoint_union"),
+    pytest.param(lambda big: validate(FixedPointData(3, (FixedPoint("p", [big]),))), BadArgument,
+                 id="validate-list-weights"),
+    pytest.param(lambda big: validate(dataset(3, [], homology=HomologyProfile(1, big, 0, True))),
+                 BadArgument, id="validate-profile"),
+    pytest.param(lambda big: negate_all(dataset(3, [("p", (1, 2, Fraction(big, 3)))])),
+                 BadArgument, id="negate_all"),
+    pytest.param(lambda big: format_rational([big]), BadArgument, id="format_rational"),
+    pytest.param(lambda big: parse_rational(big), BadArgument, id="parse_rational"),
+    pytest.param(lambda big: save(sphere_data(), big), BadArgument, id="save"),
+    pytest.param(lambda big: load(big), BadArgument, id="load"),
+    pytest.param(lambda big: jang_case(big), BadParams, id="jang_case"),
+    pytest.param(lambda big: gen_family(big), BadArgument, id="gen_family-case"),
+    pytest.param(lambda big: gen_family(JangCase(CaseTag.A_CP3, (big, 1, 1.5))), BadParams,
+                 id="gen_family-params"),
+    pytest.param(lambda big: verify_framing_reversal_identity(tolerance=-big), BadArgument,
+                 id="verify_framing_reversal_identity-tolerance"),
+    pytest.param(lambda big: linear_action_isotropy(big, 0, 3), BadWeights,
+                 id="linear_action_isotropy-range"),
+    pytest.param(lambda big: build_multigraphs(dataset(3, [("p", (big, 1, -1))])),
+                 UnpairableWeights, id="build_multigraphs-unpairable"),
 ])
 def test_argument_messages_do_not_print_integers_past_the_digit_limit(digit_limit, call, error):
     with pytest.raises(error) as err:
@@ -471,6 +528,22 @@ def test_messages_within_the_digit_limit_are_unchanged():
     assert violation.message == "b2=-7, b3=0 must be nonnegative integers"
     assert str(NonIntegralChernNumber(Fraction(343, 8))) == \
         "c_1^3 localization sum is not an integer: 343/8"
+    for call, message in [
+            (lambda: stable_pi_so_mod_u(-1),
+             "homotopy degree must be a nonnegative integer, got -1"),
+            (lambda: jang_case(7), "unknown case tag 7; expected A..F or one of ['A_CP3', "
+                                   "'B_Q3', 'C_Fano', 'D_S6_union', 'E_BlP_S6', 'F_BlC_S6']"),
+            (lambda: linear_action_isotropy(2, 4, 3), "weights 2 and 4 are not coprime"),
+            (lambda: linear_action_isotropy(2, 1, 3),
+             "isotropy weights must be integers > 1, got (2, 1, 3)"),
+            (lambda: kustarev_sum(dataset(2, []), None, standard_sphere(1, 2), None),
+             "summands must have equal n, got 2 and 3"),
+            (lambda: format_rational([7]), "expected an exact rational, got [7]"),
+            (lambda: gen_family(JangCase(CaseTag.A_CP3, (1, 2, 1.5))),
+             "parameters must be integers, got (1, 2, 1.5)")]:
+        with pytest.raises(circle6.ToolkitError) as err:
+            call()
+        assert str(err.value) == message
 
 
 # ---- helpers -------------------------------------------------------------

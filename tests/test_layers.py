@@ -56,6 +56,8 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
     codes = [run(["classify", str(f)]), run(["localize", "--raw", str(s6)]),
              run(["graph", str(f)]), run(["sum", str(s6), str(s6)])]
     seen["exact"] = "numpy" in sys.modules
+    codes.append(run(["verify-gluing", "--samples", "1" + "0" * 21]))
+    seen["refused"] = "numpy" in sys.modules
     codes.append(run(["verify-gluing", "--samples", "10"]))
     seen["gluing"] = "numpy" in sys.modules
 print(json.dumps({"codes": codes, **seen}))
@@ -67,4 +69,5 @@ def test_numpy_is_imported_only_by_the_gluing_check():
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], capture_output=True, text=True,
                          check=True, env=env).stdout
-    assert json.loads(out) == {"codes": [0] * 5, "import": False, "exact": False, "gluing": True}
+    assert json.loads(out) == {"codes": [0, 0, 0, 0, 1, 0], "import": False, "exact": False,
+                               "refused": False, "gluing": True}

@@ -170,16 +170,14 @@ def test_long_sphere_chain_is_refused_not_a_recursion_error():
         build_multigraphs(data, cap=1_000)
 
 
-def test_union_of_700_magnitude_disjoint_spheres(monkeypatch):
-    # 2100 magnitudes, each forced (one row and one column): one graph with
-    # 700 components, and neither table walker runs
+def test_union_of_700_magnitude_disjoint_spheres():
+    # 2100 magnitudes, each with one row and one column: one graph with
+    # 700 components
     rows = []
     for i in range(700):
         a, b = 4 * i + 1, 4 * i + 2
         rows += [(f"s{i}+", (a, b, -a - b)), (f"s{i}-", (-a, -b, a + b))]
-    calls = _recording_enumerator(monkeypatch)
     graphs = build_multigraphs(dataset(3, rows))
-    assert calls == []
     assert len(graphs) == 1
     assert len(graphs[0].components) == 700
     assert connectivity_verdict(graphs) is ConnectivityVerdict.NEVER_CONNECTED
@@ -325,12 +323,24 @@ def _differential_inputs():
         yield negate_all(gen_family(jang_case("C", a)))
     yield dataset(3, [("p1", (1, -1, 2)), ("p2", (-1, 1, -2)), ("p3", (1, -1, 1)),
                       ("p4", (-1, 1, -1))])
-    # magnitude 2 is forced with one row against two columns (one column
-    # against two rows once negated), next to an enumerated magnitude 1
+    # magnitude 2 has one row against two columns (one column against two
+    # rows once negated), next to an enumerated magnitude 1
     forced = dataset(3, [("a", (2, 2, 1)), ("b", (-2, 1, -1)), ("c", (-2, -1, 3)),
                          ("d", (-3, 1, -1))])
     yield forced
     yield negate_all(forced)
+    # magnitudes 3 and 7 have one pairing each and fold ahead of the two
+    # choices of magnitude 1 and of magnitude 2
+    ahead = dataset(3, [("a", (1, 2, 7)), ("b", (1, -2, -7)), ("c", (-1, 2, 3)),
+                        ("d", (-1, -2, -3))])
+    yield ahead
+    yield negate_all(ahead)
+    # p carries both +3 and -3, yet magnitude 3 has one row and so one
+    # pairing (a loop at p and an edge to q); magnitudes 1 and 2 have two
+    loop = dataset(3, [("p", (3, 3, -3)), ("q", (-3, 1, 2)), ("r", (-1, -2, 1)),
+                       ("s", (-1, 2, -2))])
+    yield loop
+    yield negate_all(loop)
     for k in (2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4):
         data = standard_sphere(rng.randint(1, 3), rng.randint(1, 3))
         for _ in range(k - 1):
@@ -338,7 +348,7 @@ def _differential_inputs():
                                 None).data
         yield data
     # string labellings past one byte per vertex: a 300-point cycle of
-    # forced magnitudes folds into one component
+    # one-pairing magnitudes folds into one component
     yield dataset(2, [(f"c{i}", (i + 1, -((i + 1) % 300 + 1))) for i in range(300)])
     yield dataset(1, [("a", (1,)), ("b", (-1,))])     # a single edge
 
@@ -347,16 +357,19 @@ def test_graph_lists_match_the_occurrence_enumerator(monkeypatch):
     calls = _recording_enumerator(monkeypatch)
     for data in _differential_inputs():
         want = _occurrence_graphs(data, 100_000)
+        calls.clear()
         assert build_multigraphs(data, cap=100_000) == want
+        _check_walks(data, calls)
         # the exact cap boundary, and the message the refusal gives
         n = len(want)
         assert build_multigraphs(data, cap=n) == want
         for cap in {n - 1, 1, 0}:
             if cap < n:
+                calls.clear()
                 assert _outcome(build_multigraphs, data, cap) == _outcome(
                     _occurrence_graphs, data, cap)
-    # no walker sees a forced magnitude (one row or one column)
-    assert calls and all(len(r) > 1 and len(c) > 1 for _, r, c, _ in calls)
+                # a refusal enumerates no counted magnitude
+                assert all(overlap for *_, overlap in _enumerated(calls))
 
 
 @st.composite
@@ -562,6 +575,18 @@ def _enumerated(calls):
     return [call for call in calls if call[0] == "enumerate"]
 
 
+def _check_walks(data, calls):
+    """The walks of a build that was not refused: the count pass takes each
+    magnitude once and enumerates only those where some point carries both
+    +m and -m; then the magnitudes it counted are enumerated, in order."""
+    count_pass = calls[:len({abs(w) for p in data.points for w in p.weights})]
+    rest = calls[len(count_pass):]
+    assert all(overlap for walker, *_, overlap in count_pass if walker == "enumerate")
+    assert [(r, c) for walker, r, c, _ in count_pass if walker == "count"] == [
+        (r, c) for _, r, c, _ in rest]
+    assert all(walker == "enumerate" and overlap is False for walker, *_, overlap in rest)
+
+
 @pytest.mark.parametrize("length", [6, 7])
 def test_sphere_chain_is_refused_by_counting_not_enumerating(length, monkeypatch):
     # magnitude 1 (two +1 at each of `length` points) has more than 10 001
@@ -607,8 +632,8 @@ def test_refusals_at_the_counted_boundary_match_the_occurrence_enumerator(
         if isinstance(outcome, str):
             assert rows not in [counts for _, counts, _, _ in _enumerated(calls)]
             assert all(overlap for *_, overlap in _enumerated(calls))
-        # no walker sees a forced magnitude (one row or one column)
-        assert all(len(r) > 1 and len(c) > 1 for _, r, c, _ in calls)
+        else:
+            _check_walks(data, calls)
 
 
 def test_a_counted_magnitude_is_not_enumerated_when_a_later_one_passes_the_cap(monkeypatch):

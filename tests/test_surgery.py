@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -448,3 +449,9 @@ def test_gluing_check_argument_validation():
         verify_framing_reversal_identity(samples=0)
     with pytest.raises(ValueError):
         verify_framing_reversal_identity(tolerance=0.0)
+    # numpy refuses an array longer than sys.maxsize with a bare ValueError;
+    # lengths within the bound are not tried, since they allocate the array
+    for samples in (sys.maxsize + 1, 2 ** 64, 10 ** 21):
+        with pytest.raises(BadArgument) as err:
+            verify_framing_reversal_identity(samples=samples)
+        assert str(err.value) == f"need at most {sys.maxsize} samples, got {samples}"
