@@ -31,7 +31,7 @@ from .errors import BadArgument, ParseError, ToolkitError
 from .localization import _localize, chern_report
 from .multigraph import DEFAULT_MATCHING_CAP, build_multigraphs, connectivity_verdict
 from .surgery import (DimensionPair, equivariant_normal_framing_class,
-                      kustarev_admissible, kustarev_sum, rotation_loop_class,
+                      kustarev_admissible, kustarev_sum, psi_flip,
                       verify_framing_reversal_identity)
 
 _RANGE_RE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
@@ -256,12 +256,11 @@ def _cmd_admissible(args):
 
 
 def _cmd_framing(args):
-    loop = rotation_loop_class((-args.a, args.b, args.a + args.b))
     framing = equivariant_normal_framing_class(args.a, args.b)
     return 0, {
         "a": args.a,
         "b": args.b,
-        "rotation_loop_class": loop,
+        "rotation_loop_class": psi_flip(framing),   # psi_flip is an involution
         "equivariant_normal_framing_class": framing,
         "nontrivial": framing == 1,
     }

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import re
 import sys
-from collections import Counter
 from enum import Enum
 from math import factorial, gcd, prod
 from operator import attrgetter, itemgetter, mul, sub
@@ -370,13 +369,12 @@ def _join(label: str, links) -> str:
 def raw_pairing_count(data: FixedPointData) -> int:
     """Number of occurrence-level pairings, before dedup by edge multiset.
 
-    This is the product over weight magnitudes of k! where k is the number
-    of positive occurrences of that magnitude; useful as a brute-force
-    cross-check of the enumerator.
+    A closed formula: the product over the nonzero weight magnitudes of k!,
+    k the number of positive occurrences of the magnitude. It reads the
+    magnitudes `build_multigraphs` reads, so unbalanced data is UnpairableWeights.
     """
     _require_integer_weights(data)
-    return prod(map(factorial, Counter(w for p in data.points for w in p.weights
-                                       if w > 0).values()))
+    return prod(factorial(sum(k for _, k in rows)) for m, rows, _ in _magnitudes(data) if m)
 
 
 def connectivity_verdict(graphs: list[Multigraph]) -> ConnectivityVerdict:

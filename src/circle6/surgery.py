@@ -21,14 +21,15 @@ This module also computes the parity calculus of circle framings: an
 embedded circle in a manifold of dimension >= 4 has exactly two framing
 classes (pi_1 of the rotation group), a free orbit has a canonical
 equivariant framing, and for the standard sphere actions that class is
-always the nontrivial one. `recognize_diffeotype` names the two
-diffeomorphism types the package recognizes: S^4 x S^2 for a sum of two
-standard 6-spheres, the quadric Q^3 for case-F data on a formal manifold.
+always the nontrivial one. `recognize_diffeotype` names two
+diffeomorphism types, both on four-point n = 3 data with an integrally
+formal profile: S^4 x S^2 for a two-sphere sum with zero-sum rows, the
+quadric Q^3 for case-F data.
 
 Everything here is exact except `verify_framing_reversal_identity`, the
 one floating-point computation in the package, which samples the collar
 gluing identity numerically and is quarantined behind an explicit
-tolerance and seed.
+tolerance and seed; a NaN or infinite deviation fails it.
 """
 
 from __future__ import annotations
@@ -309,16 +310,16 @@ def recognize_diffeotype(data: FixedPointData) -> str | None:
     """Name the diffeomorphism type when one of the recognition rules applies.
 
     The data is validated first, with the profile it carries, which is
-    the one the rules read; then `equivariantly_formal(data.homology,
-    integral=True)` checks it. Both rules name 6-manifolds, so data with
-    n != 3 returns None. Then two rules, in this order; anything else
-    returns None rather than guessing:
+    the one the rules read. Both rules share one precondition: an
+    integrally formal profile (`equivariantly_formal(data.homology,
+    integral=True)`: simply connected, torsion-free, b3 = 0), checked
+    first, then n = 3 and four points; other data returns None. Then two
+    exclusive rules; anything else returns None rather than guessing:
 
-    * data that `kustarev_sum` labelled as the sum of two standard 6-spheres
-      is S^4 x S^2;
-    * 4-point data on an integrally formal profile (simply connected,
-      torsion-free, b3 = 0) that matches case F is the quadric 3-fold. Only
-      this rule classifies, and only on a formal profile.
+    * data that `kustarev_sum` labelled as the sum of two standard 6-spheres,
+      every row of weights summing to zero, is S^4 x S^2;
+    * data that matches case F is the quadric 3-fold. Only this rule
+      classifies.
     """
     _require_valid(data)
     return _diffeotype(data)
@@ -326,19 +327,18 @@ def recognize_diffeotype(data: FixedPointData) -> str | None:
 
 def _diffeotype(data: FixedPointData) -> str | None:
     """The recognition rules of `recognize_diffeotype`, on valid data."""
-    formal = equivariantly_formal(data.homology, integral=True)
-    # both rules name 6-manifolds; the n check comes after the formality
-    # check, so profile errors keep their precedence
-    if data.n != 3:
+    # the rules' one precondition; formality first, so profile errors keep
+    # their precedence
+    if not (equivariantly_formal(data.homology, integral=True) and data.n == 3
+            and len(data.points) == 4):
         return None
-    # the two rules are mutually exclusive (case-F rows have nonzero weight
-    # sums, sphere-sum rows sum to zero), so the cheap provenance check goes
-    # first and spares sum data a classification pass
+    # the rules are exclusive (case-F rows have nonzero weight sums), so the
+    # cheap provenance check goes first and spares sums a classification pass
     labels = data.labels
-    if labels.get("construction") == _KUSTAREV_SUM and labels.get("summands") == "S^6,S^6":
+    if (labels.get("construction") == _KUSTAREV_SUM and labels.get("summands") == "S^6,S^6"
+            and not any(sum(p.weights) for p in data.points)):
         return S4_X_S2
-    if formal and len(data.points) == 4 and any(
-            m.case.tag is CaseTag.F_BlC_S6 for m in _classify(data).matches):
+    if any(m.case.tag is CaseTag.F_BlC_S6 for m in _classify(data).matches):
         return QUADRIC_Q3
     return None
 
@@ -403,7 +403,8 @@ def verify_framing_reversal_identity(
     float roundoff stays far below any sensible tolerance) and reports the
     worst componentwise deviation. It never raises on failure: a mutated
     collar map simply comes back with passed=False and the deviation it
-    produced. Same seed, same verdict.
+    produced, and a NaN or infinite deviation fails too. Same seed, same
+    verdict.
     """
     # a NaN or infinite tolerance decides nothing
     if isinstance(tolerance, bool) or not isinstance(tolerance, Real) or not 0 < tolerance < inf:
@@ -440,9 +441,8 @@ def verify_framing_reversal_identity(
 
     lhs = h(*alpha_e(h_inv(z1, z2, z3, t)))
     rhs = alpha_e((z1, z2, z3, t))
-    worst = 0.0
-    for a_comp, b_comp in zip(lhs, rhs):
-        worst = max(worst, float(np.max(np.abs(a_comp - b_comp))))
+    # one np.max, so a NaN propagates; a hook's components may differ in shape
+    worst = float(np.max([np.max(np.abs(a - b)) for a, b in zip(lhs, rhs)]))
     return GluingCheck(
         passed=worst <= tolerance,
         samples=samples,

@@ -121,9 +121,12 @@ def test_loop_pairings_are_allowed():
 
 
 def test_asymmetric_weights_are_unpairable():
-    d = dataset(3, [("p1", (1, 2, -3)), ("p2", (-1, -2, 4))])
-    with pytest.raises(UnpairableWeights):
-        build_multigraphs(d)
+    # raw_pairing_count reads the enumerator's balance rule, so it refuses too
+    for weights in ([(1, 2, -3), (-1, -2, 4)], [(1, 1, -2), (1, 1, -2)], [(1, 2, 3)]):
+        d = dataset(3, [(f"p{i}", w) for i, w in enumerate(weights, 1)])
+        for count in (build_multigraphs, raw_pairing_count):
+            with pytest.raises(UnpairableWeights):
+                count(d)
 
 
 def test_invalid_data_is_refused():

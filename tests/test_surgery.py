@@ -365,6 +365,23 @@ def test_recognition_validates_the_data_first():
                 recognize_diffeotype(replace(d, homology=profile))
 
 
+# the labels a real two-sphere sum writes, and its profile b2 = 1
+_SUM = kustarev_sum(standard_sphere(1, 2), None, standard_sphere(2, 3), None).data
+_B2 = HomologyProfile(True, 1, 0, True)
+
+
+@pytest.mark.parametrize("data, name", [
+    pytest.param(standard_sphere(1, 2), None, id="two points"),
+    pytest.param(replace(gen_family(jang_case("A", 1, 2, 3)), homology=_B2), None, id="case A"),
+    pytest.param(replace(gen_family(jang_case("F", 1, 2)), homology=_B2), QUADRIC_Q3,
+                 id="case F"),
+    pytest.param(replace(_SUM, homology=HomologyProfile(True, 2, 2, True)), None, id="b3 = 2"),
+    pytest.param(replace(_SUM, homology=HomologyProfile(True, 1, 0, False)), None, id="torsion"),
+])
+def test_sum_labels_name_only_formal_four_point_data_with_zero_sum_rows(data, name):
+    assert recognize_diffeotype(replace(data, labels=_SUM.labels)) == name
+
+
 # ---- gluing identity ---------------------------------------------------------
 
 def test_gluing_identity_holds():
@@ -415,6 +432,18 @@ def test_phase_twisted_collar_is_the_same_map():
         samples=400, tolerance=1e-9, seed=5,
         collar_map=twisted, collar_map_inverse=twisted_inverse)
     assert check.passed
+
+
+@pytest.mark.parametrize("hooks", [
+    pytest.param({"collar_map": lambda z1, z2, z3, t: (z1, np.nan * z2, z3, t),
+                  "collar_map_inverse": lambda z1, z2, z3, t: (z1, np.nan * z2, z3, t)},
+                 id="collar map"),
+    pytest.param({"alpha": lambda r: np.where(r > 1, np.nan, 1.0 / r)}, id="alpha"),
+])
+def test_a_nan_deviation_fails_the_check(hooks):
+    check = verify_framing_reversal_identity(samples=400, seed=5, **hooks)
+    assert check.passed is False
+    assert np.isnan(check.worst_deviation)
 
 
 @pytest.mark.parametrize("call", [
