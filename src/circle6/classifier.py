@@ -56,7 +56,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import permutations, product
 from operator import itemgetter
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .core import FixedPointData, _is_int, _require_valid, dataset
 from .errors import BadArgument, BadParams, WrongDimension, WrongPointCount, _shown
@@ -197,8 +197,7 @@ def _forced_sign(coeffs: tuple[int, ...], const: int, positive: bool) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class _Pin:
+class _Pin(NamedTuple):
     """A pinning slot: its index, the sign vectors (True: positive) its
     entries may have given the forced signs, and the parameters it reads as
     (entry, parameter index, sign) with parameter = sign * entry. Every
@@ -209,8 +208,7 @@ class _Pin:
     reads: tuple[tuple[int, int, int], ...]
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """How to match one case: its tag and template, and the pinned slots
     its parameters are read off, in the order taken. n0 is the number of
     slots whose entries are all forced positive; `_plan` checks that every

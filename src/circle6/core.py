@@ -134,9 +134,13 @@ def disjoint_union(d1: FixedPointData, d2: FixedPointData) -> FixedPointData:
     if d1.n != d2.n:
         raise BadArgument(f"cannot union datasets with n={_shown(d1.n, str)} and "
                           f"n={_shown(d2.n, str)}")
-    pts = tuple(FixedPoint(_UNION_PREFIXES[0] + p.name, p.weights) for p in d1.points)
-    pts += tuple(FixedPoint(_UNION_PREFIXES[1] + p.name, p.weights) for p in d2.points)
-    return FixedPointData(d1.n, pts)
+    return FixedPointData(d1.n, _union_points(d1, d2))
+
+
+def _union_points(d1: FixedPointData, d2: FixedPointData) -> tuple[FixedPoint, ...]:
+    """The points of `disjoint_union(d1, d2)`, for datasets already gated."""
+    return tuple(FixedPoint(prefix + p.name, p.weights)
+                 for prefix, d in zip(_UNION_PREFIXES, (d1, d2)) for p in d.points)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +215,8 @@ def validate(data: FixedPointData) -> list[Violation]:
     """
     _require_dataset(data)
     out: list[Violation] = []
-    if not _is_int(data.n) or data.n < 1:
+    n_ok = _is_int(data.n) and data.n >= 1
+    if not n_ok:
         out.append(Violation("BadHalfDimension", None, f"n must be a positive integer, got {_shown(data.n)}"))
     seen: set[str] = set()
     for p in data.points:
@@ -222,14 +227,15 @@ def validate(data: FixedPointData) -> list[Violation]:
         if p.name in seen:
             out.append(Violation("DuplicateName", p.name, "point names must be unique"))
         seen.add(p.name)
-        bad_type = [w for w in p.weights if not _is_int(w)]
+        # a plain int passes on its type alone, without a call per weight
+        bad_type = [w for w in p.weights if type(w) is not int and not _is_int(w)]
         if bad_type:
             out.append(Violation("NonIntegerWeight", p.name, f"weights must be integers, got {_shown(bad_type)}"))
             continue
-        if _is_int(data.n) and data.n >= 1 and len(p.weights) != data.n:
+        if n_ok and len(p.weights) != data.n:
             out.append(Violation("WrongArity", p.name,
                                  f"expected {_shown(data.n)} weights, got {len(p.weights)}"))
-        if any(w == 0 for w in p.weights):
+        if 0 in p.weights:
             out.append(Violation("ZeroWeight", p.name, "weights must be nonzero"))
     h = data.homology
     if h is not None:

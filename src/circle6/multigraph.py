@@ -30,9 +30,11 @@ order, a magnitude is enumerated when some point carries both +m and -m
 otherwise (memoized, and only up to cap + 1). A magnitude with more than
 cap pairings is refused for itself; once the running product passes the
 cap, the data is refused overall. Only then are the counted magnitudes
-enumerated. One row-fill generator serves both walks, and every walk
-keeps its own stack, so data with thousands of points or magnitudes
-cannot exhaust the interpreter's recursion limit.
+enumerated. A table with one row or one nonzero column is each walk's
+base case, answered without a walk: each cell takes its smaller margin.
+One row-fill generator serves both walks, and every walk keeps its own
+stack, so data with thousands of points or magnitudes cannot exhaust the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -140,6 +142,9 @@ def _distinct_pairings(m: int, rows: list, cols: list, cap: int) -> list[tuple]:
     generators; the last row takes what is left. The walk stops once it
     holds more than `cap` keys, which is all a caller needs to refuse.
     """
+    if len(rows) == 1 or len(cols) == 1:    # one table: each cell takes its smaller margin
+        return [tuple(sorted((p, q, m) if p <= q else (q, p, m)
+                             for p, k in rows for q, c in cols for _ in range(min(k, c))))]
     # each cell's edge as a 1-tuple, so that cell * units repeats it
     cells = [[((p, q, m) if p <= q else (q, p, m),) for q, _ in cols] for p, _ in rows]
     last = len(rows) - 1
@@ -179,9 +184,11 @@ def _table_count(rows: list[int], cols: list[int], limit: int) -> int:
     leaves margins with at least one table, so no frame counts more than
     the total, and the walk stops as soon as one frame has counted `limit`.
     """
+    start = tuple(sorted(c for c in cols if c))
+    if len(rows) == 1 or len(start) < 2:    # one row or one nonzero column: one table
+        return min(1, limit)
     last = len(rows) - 1
     memo: dict[tuple, int] = {}
-    start = tuple(sorted(c for c in cols if c))
     stack = [[0, start, _fills(rows[0], start), 0]]
     while True:
         frame = stack[-1]

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from .core import (FixedPoint, FixedPointData, HomologyProfile, SPHERE_PROFILE,
                    Violation, _is_int, _json_fields, _require_dataset,
-                   _require_integer_weights, _require_valid, disjoint_union)
+                   _require_integer_weights, _require_valid, _union_points)
 from .classifier import CaseTag, _classify
 from .errors import (BadArgument, BadDimensions, InvalidData, MissingProfile,
                      NotAdmissible, NotSimplyConnected, WrongDimension, _shown)
@@ -184,6 +184,10 @@ def is_sphere_summand(data: FixedPointData) -> bool:
     """Whether `data` is a standard sphere action: n = 3, two fixed points
     with opposite zero-sum weight multisets and sphere homology attached."""
     _require_integer_weights(data)
+    return _is_sphere(data)
+
+
+def _is_sphere(data: FixedPointData) -> bool:   # `is_sphere_summand` past its gate
     if data.homology != SPHERE_PROFILE or data.n != 3 or len(data.points) != 2:
         return False
     w1, w2 = data.points[0].weights, data.points[1].weights
@@ -281,9 +285,10 @@ def kustarev_sum(
         b3=h1.b3 + h2.b3,
         torsion_free=h1.torsion_free and h2.torsion_free,
     )
-    kinds = tuple("S^6" if is_sphere_summand(d) else "generic" for d in (d1, d2))
+    # both summands are valid, so the sphere test and the union skip their gates
+    kinds = tuple("S^6" if _is_sphere(d) else "generic" for d in (d1, d2))
     labels = {"construction": _KUSTAREV_SUM, "summands": ",".join(kinds)}
-    data = replace(disjoint_union(d1, d2), homology=homology, labels=labels)
+    data = FixedPointData(d1.n, _union_points(d1, d2), homology, labels)
     diffeotype = _diffeotype(data)   # valid by the composition formulas
     report = SumReport(
         n=d1.n, k=1, exists=True, unique=adm.unique,
@@ -404,7 +409,8 @@ def verify_framing_reversal_identity(
     worst componentwise deviation. It never raises on failure: a mutated
     collar map simply comes back with passed=False and the deviation it
     produced, and a NaN or infinite deviation fails too. Same seed, same
-    verdict.
+    verdict. Each collar-map hook must return (z1, z2, z3, t) as a tuple or
+    list of four components; anything else is a BadArgument.
     """
     # a NaN or infinite tolerance decides nothing
     if isinstance(tolerance, bool) or not isinstance(tolerance, Real) or not 0 < tolerance < inf:
@@ -439,7 +445,13 @@ def verify_framing_reversal_identity(
         s = radial(r) / r
         return pz1, s * pz2, s * pz3, s * pt
 
-    lhs = h(*alpha_e(h_inv(z1, z2, z3, t)))
+    def collar(hook, name, p):   # four components: zip below compares no more than it gets
+        out = hook(*p)
+        if isinstance(out, (tuple, list)) and len(out) == 4:
+            return out
+        raise BadArgument(f"{name} must return the four components (z1, z2, z3, t)")
+
+    lhs = collar(h, "collar_map", alpha_e(collar(h_inv, "collar_map_inverse", (z1, z2, z3, t))))
     rhs = alpha_e((z1, z2, z3, t))
     # one np.max, so a NaN propagates; a hook's components may differ in shape
     worst = float(np.max([np.max(np.abs(a - b)) for a, b in zip(lhs, rhs)]))

@@ -411,12 +411,11 @@ def test_classify_agrees_with_the_table_on_family_members():
 def test_the_chern_number_key_changes_no_result(monkeypatch):
     # with every case unkeyed, classify searches all cases of the right
     # Todd genus, as it did before the key
-    from dataclasses import replace
     from circle6 import classifier
     inputs = _random_inputs() + _member_inputs()
     keyed = [classify(data) for data in inputs]
     for tag, plan in classifier._PLANS.items():
-        monkeypatch.setitem(classifier._PLANS, tag, replace(plan, c1=None))
+        monkeypatch.setitem(classifier._PLANS, tag, plan._replace(c1=None))
     assert [classify(data) for data in inputs] == keyed
 
 

@@ -139,6 +139,71 @@ def test_validate_is_order_independent_up_to_location():
         assert got == baseline
 
 
+def _validate_reference(data):
+    """`validate` as it read before plain ints skipped the per-weight type
+    call: the rules, their messages and their order, kept verbatim as a
+    reference."""
+    from circle6.core import Violation, _is_int, _require_dataset
+    from circle6.errors import _shown
+    _require_dataset(data)
+    out = []
+    if not _is_int(data.n) or data.n < 1:
+        out.append(Violation("BadHalfDimension", None, f"n must be a positive integer, got {_shown(data.n)}"))
+    seen = set()
+    for p in data.points:
+        if not isinstance(p.name, str) or not p.name:
+            out.append(Violation("EmptyName", p.name if isinstance(p.name, str) else None,
+                                 "point names must be nonempty strings"))
+            continue
+        if p.name in seen:
+            out.append(Violation("DuplicateName", p.name, "point names must be unique"))
+        seen.add(p.name)
+        bad_type = [w for w in p.weights if not _is_int(w)]
+        if bad_type:
+            out.append(Violation("NonIntegerWeight", p.name, f"weights must be integers, got {_shown(bad_type)}"))
+            continue
+        if _is_int(data.n) and data.n >= 1 and len(p.weights) != data.n:
+            out.append(Violation("WrongArity", p.name,
+                                 f"expected {_shown(data.n)} weights, got {len(p.weights)}"))
+        if any(w == 0 for w in p.weights):
+            out.append(Violation("ZeroWeight", p.name, "weights must be nonzero"))
+    h = data.homology
+    if h is not None:
+        if not _is_int(h.b2) or h.b2 < 0 or not _is_int(h.b3) or h.b3 < 0:
+            out.append(Violation("NegativeBetti", None, f"b2={_shown(h.b2)}, b3={_shown(h.b3)} must be nonnegative integers"))
+        elif h.b3 % 2 != 0:
+            out.append(Violation("OddB3", None, f"b3 must be even, got {_shown(h.b3)}"))
+        elif h.simply_connected and h.torsion_free and h.euler() != len(data.points):
+            out.append(Violation(
+                "EulerMismatch", None,
+                f"2 + 2*b2 - b3 = {_shown(h.euler())} but the dataset has {len(data.points)} fixed points"))
+    return out
+
+
+class _Int(int):
+    """An int subclass: an integer weight, but not of type int."""
+
+
+# malformed weights: bools, int subclasses (zero among them), zeros,
+# floats and strings, beside plain nonzero ints
+_ODD_WEIGHTS = st.sampled_from([1, -1, 2, -3, 0, True, False, _Int(2), _Int(0), _Int(-1), 1.0, "1"])
+_ODD_POINTS = st.lists(st.tuples(st.sampled_from(["p", "q", "r", "", 7]),
+                                 st.lists(_ODD_WEIGHTS, max_size=4).map(tuple)), max_size=5)
+_ODD_PROFILES = st.none() | st.builds(HomologyProfile, st.booleans(),
+                                      st.sampled_from([0, 1, -1, True, _Int(1), 1.5]),
+                                      st.sampled_from([0, 2, 3, -2, False, _Int(2)]), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from([3, 2, 1, 0, -1, True, _Int(3), 3.0, "3"]), points=_ODD_POINTS,
+       homology=_ODD_PROFILES)
+def test_validate_reports_what_the_reference_reports(n, points, homology):
+    # wrong arity, duplicate and empty names, bool, int-subclass and zero
+    # weights: the same violations, messages and order
+    data = FixedPointData(n, tuple(FixedPoint(name, ws) for name, ws in points), homology)
+    assert validate(data) == _validate_reference(data)
+
+
 _JUNK = [None, "x", 1.5, 0, [], {"n": 3}, sphere_points(1, 2)]
 
 

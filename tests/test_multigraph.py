@@ -401,6 +401,31 @@ def test_one_pairing_exactly_when_one_row_or_one_column(margins):
     assert (len(want) == 1) == (len(rows) == 1 or len(cols) == 1)
 
 
+@settings(max_examples=150, deadline=None)
+@given(margins=_shared_margins(), one_row=st.booleans(), shared=st.booleans())
+def test_one_row_or_one_column_is_answered_as_the_walk_answers_it(margins, one_row, shared):
+    # collapse one side of a record to a single point; when `shared` it is
+    # named after a point of the other side, which then carries both +m and -m
+    rows, cols = margins
+    line, other = (rows, cols) if one_row else (cols, rows)
+    line = [(other[0][0] if shared else "t", sum(k for _, k in line))]
+    rows, cols = (line, other) if one_row else (other, line)
+    # a zero row and a zero column add no edge, but take the enumerator
+    # off its base case and through its walk
+    walked = _distinct_pairings(5, rows + [("~", 0)], cols + [("~", 0)], 10**9)
+    assert _distinct_pairings(5, rows, cols, 10**9) == walked
+    assert _distinct_pairings(5, rows, cols, 0) == walked
+    want = _occurrence_pairings([p for p, k in rows for _ in range(k)],
+                                [q for q, k in cols for _ in range(k)], 10**9)
+    assert [tuple((u, v) for u, v, _ in key) for key in walked] == want
+    # the count: the single line as the first of two rows, the second
+    # empty, walks whenever the other side has two points or more
+    counts = [k for _, k in other]
+    assert _table_count([k for _, k in rows], [k for _, k in cols], 10**9) == 1
+    assert _table_count([line[0][1], 0], counts, 10**9) == 1
+    assert _table_count([k for _, k in rows], [k for _, k in cols], 1) == 1
+
+
 def _point_rows(halves):
     rows = [(f"q{i}", ws) for i, ws in enumerate(halves)]
     return rows + [(f"r{i}", tuple(-w for w in ws)) for i, ws in enumerate(halves)]

@@ -446,6 +446,19 @@ def test_a_nan_deviation_fails_the_check(hooks):
     assert np.isnan(check.worst_deviation)
 
 
+@pytest.mark.parametrize("hook", ["collar_map", "collar_map_inverse"])
+@pytest.mark.parametrize("returns", [
+    pytest.param(lambda z1, z2, z3, t: (z1, z1 * z2), id="two components"),
+    pytest.param(lambda z1, z2, z3, t: (), id="no components"),
+    pytest.param(lambda z1, z2, z3, t: (z1, z2, z3, t, t), id="five components"),
+    pytest.param(lambda z1, z2, z3, t: z1, id="one array"),
+])
+def test_a_collar_map_must_return_four_components(hook, returns):
+    # zip would compare only as many components as the hook returns
+    with pytest.raises(BadArgument, match=f"{hook} must return the four components"):
+        verify_framing_reversal_identity(samples=50, **{hook: returns})
+
+
 @pytest.mark.parametrize("call", [
     lambda: stable_pi_so_mod_u(2.5),
     lambda: stable_pi_so_mod_u(True),

@@ -32,6 +32,26 @@ def test_sum_of_two_spheres_validates_each_summand_once(validate_calls):
     assert [len(d.points) for d in validate_calls] == [2, 2]
 
 
+def test_a_binary_sum_gates_each_summand_at_most_twice(monkeypatch, validate_calls):
+    # once at the top and once inside validate; the union, the sphere test
+    # and the sum's own dataset take no gate of their own
+    from circle6 import core, surgery
+    gated = []
+    original = core._require_dataset
+
+    def counting(data):
+        gated.append(data)
+        return original(data)
+
+    for module in (core, surgery):
+        monkeypatch.setattr(module, "_require_dataset", counting)
+    left, right = standard_sphere(1, 2), standard_sphere(3, 4)
+    kustarev_sum(left, None, right, None)
+    assert len(gated) <= 4
+    assert {id(d) for d in gated} <= {id(left), id(right)}
+    assert validate_calls == [left, right]
+
+
 def test_recognition_validates_once(validate_calls):
     # the case-F rule classifies data that recognition has already validated
     member = replace(gen_family(jang_case("F", 1, 1)), homology=HomologyProfile(True, 1, 0, True))
