@@ -30,7 +30,7 @@ from .core import format_rational, parse_rational
 from .errors import BadArgument, ParseError, ToolkitError
 from .localization import _localize, chern_report
 from .multigraph import DEFAULT_MATCHING_CAP, build_multigraphs, connectivity_verdict
-from .surgery import (DimensionPair, equivariant_normal_framing_class,
+from .surgery import (NONTRIVIAL_CLASS, DimensionPair, equivariant_normal_framing_class,
                       kustarev_admissible, kustarev_sum, psi_flip,
                       verify_framing_reversal_identity)
 
@@ -87,59 +87,54 @@ def build_parser() -> argparse.ArgumentParser:
                     "actions on 6-manifolds.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="check a dataset file against every invariant")
+    def command(name, handler, help):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("validate", _cmd_validate, "check a dataset file against every invariant")
     p.add_argument("file", help="dataset JSON document")
 
-    p = sub.add_parser("localize", parents=[common],
-                       help="exact localized invariants (c1^3, Todd, c1c2, chi_y)")
+    p = command("localize", _cmd_localize, "exact localized invariants (c1^3, Todd, c1c2, chi_y)")
     p.add_argument("file")
     p.add_argument("--raw", action="store_true",
                    help="skip the integrality gate and report the raw rational")
 
-    p = sub.add_parser("classify", parents=[common],
-                       help="match 4-point data against the six weight families")
+    p = command("classify", _cmd_classify, "match 4-point data against the six weight families")
     p.add_argument("file")
 
-    p = sub.add_parser("generate", parents=[common],
-                       help="emit the dataset of a family member")
+    p = command("generate", _cmd_generate, "emit the dataset of a family member")
     p.add_argument("case", type=_parse_case, help="family tag (A..F or full name)")
     p.add_argument("params", type=int, nargs="+", help="integer parameters")
 
-    p = sub.add_parser("graph", parents=[common],
-                       help="enumerate opposite-weight pairing multigraphs")
+    p = command("graph", _cmd_graph, "enumerate opposite-weight pairing multigraphs")
     p.add_argument("file")
     p.add_argument("--dot", metavar="FILE", default=None,
                    help="also write Graphviz source for every pairing")
     p.add_argument("--cap", type=int, default=DEFAULT_MATCHING_CAP,
                    help="abort when there are more pairings than this")
 
-    p = sub.add_parser("sum", parents=[common],
-                       help="fiber connect sum of two datasets (k = 1)")
+    p = command("sum", _cmd_sum, "fiber connect sum of two datasets (k = 1)")
     p.add_argument("file1")
     p.add_argument("file2")
 
-    p = sub.add_parser("admissible", parents=[common],
-                       help="mod-8 existence/uniqueness gate for the sum")
+    p = command("admissible", _cmd_admissible, "mod-8 existence/uniqueness gate for the sum")
     p.add_argument("n", type=int, help="half-dimension (manifolds have dimension 2n)")
     p.add_argument("k", type=int, help="dimension of the acting torus")
 
-    p = sub.add_parser("framing", parents=[common],
-                       help="framing classes of a free orbit of the standard "
-                            "weight-(a,b) sphere action")
+    p = command("framing", _cmd_framing,
+                "framing classes of a free orbit of the standard weight-(a,b) sphere action")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
 
-    p = sub.add_parser("verify-gluing", parents=[common],
-                       help="numerically check the collar gluing identity")
+    p = command("verify-gluing", _cmd_verify_gluing, "numerically check the collar gluing identity")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for pseudo-random sampling (default 0)")
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="enumerate a family over parameter ranges and "
-                            "check exact assertions")
+    p = command("sweep", _cmd_sweep,
+                "enumerate a family over parameter ranges and check exact assertions")
     p.add_argument("--case", type=_parse_case, required=True)
     for name in _PARAM_NAMES:
         p.add_argument(f"--{name}", type=_parse_range, default=None, metavar="LO..HI")
@@ -245,14 +240,8 @@ def _cmd_sum(args):
 
 def _cmd_admissible(args):
     dims = DimensionPair(args.n, args.k)
-    adm = kustarev_admissible(dims)
-    return 0, {
-        "n": args.n,
-        "k": args.k,
-        "slice_dim": dims.slice_dim,
-        "exists": adm.exists,
-        "unique": adm.unique,
-    }
+    return 0, {**core._json_fields(dims), "slice_dim": dims.slice_dim,
+               **core._json_fields(kustarev_admissible(dims))}
 
 
 def _cmd_framing(args):
@@ -262,7 +251,7 @@ def _cmd_framing(args):
         "b": args.b,
         "rotation_loop_class": psi_flip(framing),   # psi_flip is an involution
         "equivariant_normal_framing_class": framing,
-        "nontrivial": framing == 1,
+        "nontrivial": framing == NONTRIVIAL_CLASS,
     }
 
 
@@ -329,27 +318,13 @@ def _cmd_sweep(args):
     return (0 if payload["ok"] else 1), payload
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "localize": _cmd_localize,
-    "classify": _cmd_classify,
-    "generate": _cmd_generate,
-    "graph": _cmd_graph,
-    "sum": _cmd_sum,
-    "admissible": _cmd_admissible,
-    "framing": _cmd_framing,
-    "verify-gluing": _cmd_verify_gluing,
-    "sweep": _cmd_sweep,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:   # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        code, payload = _HANDLERS[args.command](args)
+        code, payload = args.handler(args)
         _emit(payload, args)
         return code
     except ToolkitError as exc:

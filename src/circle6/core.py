@@ -19,6 +19,11 @@ The on-disk form is a JSON document::
       "labels": {"note": "standard sphere"}        // optional, str -> str
     }
 
+Reading checks the structure of a document and then the same dataset type
+gate every public function applies, so `save` writes exactly what `_read`
+reads back; a wrong-typed name, weight, n or Betti number is read as it
+stands and reported by `validate`, which `load` runs.
+
 All arithmetic on weights is exact: weights are arbitrary-precision ints
 and rational values are `fractions.Fraction` (always lowest terms, positive
 denominator), rendered as "p/q" strings in JSON output.
@@ -243,7 +248,7 @@ def validate(data: FixedPointData) -> list[Violation]:
             out.append(Violation("NegativeBetti", None, f"b2={_shown(h.b2)}, b3={_shown(h.b3)} must be nonnegative integers"))
         elif h.b3 % 2 != 0:
             out.append(Violation("OddB3", None, f"b3 must be even, got {_shown(h.b3)}"))
-        elif h.simply_connected and h.torsion_free and h.euler() != len(data.points):
+        elif h.simply_connected and h.euler() != len(data.points):
             out.append(Violation(
                 "EulerMismatch", None,
                 f"2 + 2*b2 - b3 = {_shown(h.euler())} but the dataset has {len(data.points)} fixed points"))
@@ -320,10 +325,13 @@ def document(data: FixedPointData) -> dict:
 
 def _json_text(doc) -> str:
     """The JSON text of a document: sorted keys, indent 2, a trailing
-    newline. BadArgument when it holds an integer past Python's int/str
-    digit limit (`sys.set_int_max_str_digits`)."""
+    newline. BadArgument when it holds a value JSON cannot carry, such as
+    a Fraction weight, or an integer past Python's int/str digit limit
+    (`sys.set_int_max_str_digits`)."""
     try:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    except TypeError as exc:
+        raise BadArgument(f"cannot write as JSON: {exc}") from None
     except ValueError:
         raise BadArgument("an integer is too long to write as JSON") from None
 
@@ -348,9 +356,10 @@ def save(data: FixedPointData, target: str | PathLike | IO[str]) -> None:
     """Write the dataset document as UTF-8 JSON (deterministic key order).
 
     The target is a path (`str` or `os.PathLike`) or a stream with a
-    `write` method. Raises BadArgument for any other target or an
-    integer past the int/str digit limit, before anything is opened, and
-    when a target path cannot be written.
+    `write` method. Raises BadArgument for any other target, a value
+    JSON cannot carry or an integer past the int/str digit limit, before
+    anything is opened, and when a target path cannot be written. What it
+    writes, `_read` reads back; `load` also validates it.
     """
     text = _json_text(document(data))
     if hasattr(target, "write"):
@@ -364,44 +373,35 @@ _HOMOLOGY_KEYS = {f.name for f in fields(HomologyProfile)}
 
 
 def _parse_document(doc) -> FixedPointData:
+    """The dataset a document describes, unvalidated: ParseError unless
+    `doc` has the structure `document` writes and the dataset passes
+    `_require_dataset`. Names, weights, n and Betti numbers are left to
+    `validate`."""
     if not isinstance(doc, dict):
         raise ParseError(f"document root must be an object, got {type(doc).__name__}")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise ParseError(f"unknown top-level keys: {sorted(unknown)}")
-    if "n" not in doc or not _is_int(doc["n"]):
-        raise ParseError('"n" must be present and an integer')
+    if "n" not in doc:
+        raise ParseError('"n" must be present')
     raw_points = doc.get("fixed_points")
-    if not isinstance(raw_points, list):
-        raise ParseError('"fixed_points" must be a list')
-    points = []
-    for i, entry in enumerate(raw_points):
-        if not isinstance(entry, dict) or set(entry) != {"name", "weights"}:
-            raise ParseError(f'fixed_points[{i}] must be an object with "name" and "weights"')
-        if not isinstance(entry["name"], str):
-            raise ParseError(f"fixed_points[{i}].name must be a string")
-        if not isinstance(entry["weights"], list) or not all(_is_int(w) for w in entry["weights"]):
-            raise ParseError(f"fixed_points[{i}].weights must be a list of integers")
-        points.append((entry["name"], entry["weights"]))
-    homology = None
-    if "homology" in doc:
-        raw_h = doc["homology"]
-        if not isinstance(raw_h, dict) or set(raw_h) != _HOMOLOGY_KEYS:
-            raise ParseError(f'"homology" must be an object with keys {sorted(_HOMOLOGY_KEYS)}')
-        if not isinstance(raw_h["simply_connected"], bool) or not isinstance(raw_h["torsion_free"], bool):
-            raise ParseError("homology flags must be booleans")
-        if not _is_int(raw_h["b2"]) or not _is_int(raw_h["b3"]):
-            raise ParseError("homology Betti numbers must be integers")
-        homology = HomologyProfile(**raw_h)
-    labels: dict[str, str] = {}
-    if "labels" in doc:
-        raw_l = doc["labels"]
-        if not isinstance(raw_l, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in raw_l.items()
-        ):
-            raise ParseError('"labels" must map strings to strings')
-        labels = dict(raw_l)
-    return dataset(doc["n"], points, homology=homology, labels=labels)
+    if not isinstance(raw_points, list) or not all(
+            isinstance(e, dict) and set(e) == {"name", "weights"} and isinstance(e["weights"], list)
+            for e in raw_points):
+        raise ParseError('"fixed_points" must be a list of objects with "name" and a list "weights"')
+    raw_h = doc.get("homology")
+    if "homology" in doc and not (isinstance(raw_h, dict) and set(raw_h) == _HOMOLOGY_KEYS):
+        raise ParseError(f'"homology" must be an object with keys {sorted(_HOMOLOGY_KEYS)}')
+    labels = doc.get("labels", {})
+    if not isinstance(labels, dict):
+        raise ParseError('"labels" must be an object')
+    data = dataset(doc["n"], [(e["name"], e["weights"]) for e in raw_points],
+                   None if raw_h is None else HomologyProfile(**raw_h), labels)
+    try:
+        _require_dataset(data)
+    except BadArgument as exc:
+        raise ParseError(str(exc)) from None
+    return data
 
 
 def _read(source: str | PathLike | IO[str]) -> FixedPointData:
@@ -411,7 +411,9 @@ def _read(source: str | PathLike | IO[str]) -> FixedPointData:
     `read` method. Raises BadArgument for any other source, before
     anything is opened, and ParseError for an unreadable or non-UTF-8
     file, malformed JSON, an integer past Python's int/str digit limit
-    (`sys.set_int_max_str_digits`) or schema violations.
+    (`sys.set_int_max_str_digits`), a document without the structure
+    `document` writes, or non-bool homology flags or non-string labels.
+    Every document `save` writes reads back.
     """
     if not hasattr(source, "read"):
         _require_path(source)   # before the try: BadArgument is a ValueError
@@ -430,7 +432,9 @@ def _read(source: str | PathLike | IO[str]) -> FixedPointData:
 
 def load(source: str | PathLike | IO[str]) -> FixedPointData:
     """Read a dataset document with `_read` and refuse invalid data with
-    InvalidData, a ValidationError carrying the violation list."""
+    InvalidData, a ValidationError carrying the violation list: a
+    wrong-typed name, weight, n or Betti number is InvalidData, not a
+    ParseError."""
     data = _read(source)
     _require_valid(data)
     return data

@@ -55,6 +55,16 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert payload["violations"][0]["point"] == "p1"
 
 
+def test_validate_lists_a_float_weight_as_a_violation(tmp_path, capsys):
+    f = tmp_path / "float.json"
+    f.write_text('{"n": 3, "fixed_points": [{"name": "p1", "weights": [1, 2.5, -3]}]}')
+    code, payload = _run_json(capsys, ["validate", str(f)])
+    assert code == 1
+    assert [v["rule"] for v in payload["violations"]] == ["NonIntegerWeight"]
+    code, payload = _run_json(capsys, ["localize", str(f)])
+    assert (code, payload["error"]) == (1, "InvalidData")
+
+
 def test_localize_sphere(tmp_path, capsys):
     f = _write_sphere(tmp_path / "s6.json")
     code, payload = _run_json(capsys, ["localize", str(f)])

@@ -119,10 +119,14 @@ def test_homology_profile_rules():
     mismatch = dataset(3, sphere_points(1, 2),
                        homology=HomologyProfile(True, 1, 0, True))
     assert any(v.rule == "EulerMismatch" for v in validate(mismatch))
-    # without both flags the euler check cannot be applied
-    no_tf = dataset(3, sphere_points(1, 2),
-                    homology=HomologyProfile(True, 1, 0, False))
-    assert validate(no_tf) == []
+    # Betti numbers are ranks, so torsion leaves the Euler check standing
+    torsion = dataset(3, sphere_points(1, 2),
+                      homology=HomologyProfile(True, 1, 0, False))
+    assert [v.rule for v in validate(torsion)] == ["EulerMismatch"]
+    # without simple connectivity b1 is not known to vanish
+    not_sc = dataset(3, sphere_points(1, 2),
+                     homology=HomologyProfile(False, 1, 0, True))
+    assert validate(not_sc) == []
 
 
 def test_validate_is_order_independent_up_to_location():
@@ -142,7 +146,7 @@ def test_validate_is_order_independent_up_to_location():
 def _validate_reference(data):
     """`validate` as it read before plain ints skipped the per-weight type
     call: the rules, their messages and their order, kept verbatim as a
-    reference."""
+    reference, but for the Euler rule, which now holds with torsion too."""
     from circle6.core import Violation, _is_int, _require_dataset
     from circle6.errors import _shown
     _require_dataset(data)
@@ -173,7 +177,7 @@ def _validate_reference(data):
             out.append(Violation("NegativeBetti", None, f"b2={_shown(h.b2)}, b3={_shown(h.b3)} must be nonnegative integers"))
         elif h.b3 % 2 != 0:
             out.append(Violation("OddB3", None, f"b3 must be even, got {_shown(h.b3)}"))
-        elif h.simply_connected and h.torsion_free and h.euler() != len(data.points):
+        elif h.simply_connected and h.euler() != len(data.points):
             out.append(Violation(
                 "EulerMismatch", None,
                 f"2 + 2*b2 - b3 = {_shown(h.euler())} but the dataset has {len(data.points)} fixed points"))
@@ -194,9 +198,11 @@ _ODD_PROFILES = st.none() | st.builds(HomologyProfile, st.booleans(),
                                       st.sampled_from([0, 2, 3, -2, False, _Int(2)]), st.booleans())
 
 
+_ODD_N = st.sampled_from([3, 2, 1, 0, -1, True, _Int(3), 3.0, "3"])
+
+
 @settings(max_examples=300, deadline=None)
-@given(n=st.sampled_from([3, 2, 1, 0, -1, True, _Int(3), 3.0, "3"]), points=_ODD_POINTS,
-       homology=_ODD_PROFILES)
+@given(n=_ODD_N, points=_ODD_POINTS, homology=_ODD_PROFILES)
 def test_validate_reports_what_the_reference_reports(n, points, homology):
     # wrong arity, duplicate and empty names, bool, int-subclass and zero
     # weights: the same violations, messages and order
@@ -353,22 +359,74 @@ def test_load_refuses_too_deeply_nested_json():
 @pytest.mark.parametrize("doc", [
     [],
     {"fixed_points": []},
-    {"n": "3", "fixed_points": []},
     {"n": 3, "fixed_points": {}},
     {"n": 3, "fixed_points": [{"name": "p"}]},
-    {"n": 3, "fixed_points": [{"name": "p", "weights": ["x"]}]},
+    {"n": 3, "fixed_points": [{"name": "p", "weights": 1}]},
     {"n": 3, "fixed_points": [], "extra": 1},
     {"n": 3, "fixed_points": [], "homology": {"b2": 0}},
     {"n": 3, "fixed_points": [], "labels": {"k": 1}},
-    {"n": 3, "fixed_points": [{"name": 1, "weights": [1, 2, -3]}]},
     {"n": 3, "fixed_points": [], "homology": {
         "simply_connected": 1, "b2": 0, "b3": 0, "torsion_free": True}},
-    {"n": 3, "fixed_points": [], "homology": {
-        "simply_connected": True, "b2": 0.5, "b3": 0, "torsion_free": True}},
 ])
 def test_load_rejects_schema_violations(doc):
     with pytest.raises(ParseError):
         load(io.StringIO(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"n": 3, "fixed_points": [], "labels": {"k": 1}}, "labels must map strings to strings"),
+    ({"n": 3, "fixed_points": [], "homology": {
+        "simply_connected": True, "b2": 0, "b3": 0, "torsion_free": "yes"}},
+     "homology must be None or a HomologyProfile with bool flags"),
+], ids=["int-label", "str-flag"])
+def test_read_refuses_what_the_dataset_gate_refuses_with_its_message(doc, message):
+    with pytest.raises(ParseError, match=message):
+        circle6.core._read(io.StringIO(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("doc, rule", [
+    ({"n": "3", "fixed_points": []}, "BadHalfDimension"),
+    ({"n": 3, "fixed_points": [{"name": "p", "weights": ["x"]}]}, "NonIntegerWeight"),
+    ({"n": 3, "fixed_points": [{"name": 1, "weights": [1, 2, -3]}]}, "EmptyName"),
+    ({"n": 3, "fixed_points": [], "homology": {
+        "simply_connected": True, "b2": 0.5, "b3": 0, "torsion_free": True}}, "NegativeBetti"),
+], ids=["str-n", "str-weight", "int-name", "float-b2"])
+def test_a_wrong_typed_value_is_read_and_named_by_validate(doc, rule):
+    text = json.dumps(doc)
+    data = circle6.core._read(io.StringIO(text))
+    assert document(data) == doc
+    assert [v.rule for v in validate(data)] == [rule]
+    with pytest.raises(InvalidData) as err:
+        load(io.StringIO(text))
+    assert [v.rule for v in err.value.violations] == [rule]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=_ODD_N, points=_ODD_POINTS, homology=_ODD_PROFILES,
+       labels=st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=2))
+def test_save_writes_only_what_read_reads_back(n, points, homology, labels):
+    # any dataset past the type gate, valid or not
+    data = FixedPointData(n, tuple(FixedPoint(name, ws) for name, ws in points), homology, labels)
+    buf = io.StringIO()
+    try:
+        save(data, buf)
+    except BadArgument:
+        return
+    again = io.StringIO()
+    save(circle6.core._read(io.StringIO(buf.getvalue())), again)
+    assert again.getvalue() == buf.getvalue()
+
+
+@pytest.mark.parametrize("data", [dataset(3, [("p", (1, 2, Fraction(1, 2)))]),
+                                  dataset(3, [(frozenset("p"), (1, 2, -3))])],
+                         ids=["Fraction-weight", "frozenset-name"])
+def test_save_of_a_value_json_cannot_carry_is_a_bad_argument_and_writes_nothing(tmp_path, data):
+    path, stream = tmp_path / "x.json", io.StringIO()
+    for target in (path, stream):
+        with pytest.raises(BadArgument, match="cannot write as JSON"):
+            save(data, target)
+    assert not path.exists()
+    assert stream.getvalue() == ""
 
 
 def test_save_load_round_trip_is_identity(tmp_path):
